@@ -961,7 +961,7 @@ pub mod parallel {
         pub inferences: usize,
         /// Facts derived — must be identical at every thread count.
         pub facts: usize,
-        /// Rounds that actually ran hash-partitioned (0 when the deltas never
+        /// Rounds that actually ran chunked across workers (0 when the deltas never
         /// reached the parallel threshold — the chain-shaped control workloads).
         pub parallel_rounds: usize,
         /// Order-sensitive checksum of the final database — identical across thread

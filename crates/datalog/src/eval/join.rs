@@ -30,7 +30,7 @@
 use crate::ast::{Atom, Const, Rule, Term};
 use crate::fault::{CancelToken, FaultAction, FaultInjector, FaultSite};
 use crate::fx::{FxHashMap, FxHashSet};
-use crate::storage::{shard_of_row, Database, IndexId, KeyHasher, Relation, RowId};
+use crate::storage::{Database, IndexId, KeyHasher, Relation, RowId};
 use crate::symbol::Symbol;
 
 use super::stats::EvalStats;
@@ -57,12 +57,13 @@ pub struct EvalOptions {
     /// Enable the arithmetic `succ/2` builtin (disabled automatically for any
     /// predicate that has explicit facts in the database).
     pub enable_builtins: bool,
-    /// Worker threads for hash-partitioned semi-naive rounds: `1` evaluates
-    /// sequentially, `0` uses one worker per available core. Parallel evaluation
-    /// produces the exact single-thread result — same fact set, same relation
-    /// insertion order, same machine-independent counters — so this is purely a
-    /// wall-clock knob. Defaults to the `FACTORLOG_THREADS` environment variable,
-    /// or 1 when unset.
+    /// Worker threads for parallel semi-naive rounds: `1` evaluates sequentially,
+    /// `0` uses one worker per available core. In a parallel round each worker
+    /// fires one contiguous chunk of every firing's depth-0 enumeration, and the
+    /// chunks are staged back in order, so the result is the exact single-thread
+    /// result — same fact set, same relation insertion order, same
+    /// machine-independent counters — and this is purely a wall-clock knob.
+    /// Defaults to the `FACTORLOG_THREADS` environment variable, or 1 when unset.
     pub threads: usize,
     /// Reorder rule-body literals at plan time (greedy: most bound argument
     /// positions first, then smallest relation at plan-resolution time) before
@@ -405,11 +406,6 @@ impl CompiledLiteral {
         self.slots.len()
     }
 
-    /// Is this literal compiled against the arithmetic `succ/2` builtin?
-    pub fn is_builtin_succ(&self) -> bool {
-        self.is_succ
-    }
-
     /// Does this literal want a (nontrivial) secondary index on its bound positions?
     /// Shared by [`CompiledRule::ensure_indexes`] (database relations) and the
     /// compiled program's index plan (delta/staging relations) — the two must agree
@@ -589,39 +585,6 @@ pub fn reorder_body(rule: &Rule, db: &Database, options: &EvalOptions) -> Option
     Some(Rule::new(rule.head.clone(), body))
 }
 
-/// One worker's slice of a hash-partitioned firing: worker `shard` of `of` matches
-/// only the outer (depth-0) rows that [`shard_of_row`] assigns to it, partitioning by
-/// `columns` (a join-key column set whose values vary across the outer rows) or by
-/// whole-row hash (`None`). The round driver picks the columns; any choice is exact —
-/// it only affects which worker does which share of the work.
-#[derive(Clone, Copy, Debug)]
-pub struct ShardSpec<'a> {
-    /// This worker's shard index, `0 <= shard < of`.
-    pub shard: usize,
-    /// Total number of shards.
-    pub of: usize,
-    /// Partition-key columns of the outer relation (`None` = whole-row hash).
-    pub columns: Option<&'a [usize]>,
-    /// Precomputed shard assignment of the outer relation's rows
-    /// (`assign[row_id] = owning shard`), produced once per round by the driver so
-    /// that workers test ownership with an array load instead of re-hashing every
-    /// outer row (the PR 3 follow-on). Must agree with [`shard_of_row`] over
-    /// `columns`/`of` — the round driver computes it with exactly that function.
-    /// `None` falls back to hashing per row (probed outers, direct callers).
-    pub assign: Option<&'a [u8]>,
-}
-
-impl ShardSpec<'_> {
-    /// Does this shard own the outer row `id` with values `row`?
-    #[inline]
-    fn owns(&self, id: RowId, row: &[Const]) -> bool {
-        match self.assign {
-            Some(assign) => assign[id as usize] as usize == self.shard,
-            None => shard_of_row(row, self.columns, self.of) == self.shard,
-        }
-    }
-}
-
 /// Everything a single `fire` needs that is constant over the descent.
 struct FireCtx<'a> {
     db: &'a Database,
@@ -630,6 +593,31 @@ struct FireCtx<'a> {
     /// relation, whose index ids are independent of the database relation's).
     delta_path: AccessPath,
     access: &'a RuleAccess,
+    /// This firing's share of the depth-0 enumeration: chunk `chunk` of `of`
+    /// contiguous, near-equal chunks (`(0, 1)` is the whole firing).
+    chunk: usize,
+    of: usize,
+}
+
+impl FireCtx<'_> {
+    /// The part of `0..len` candidates at `depth` this firing enumerates: its
+    /// chunk at depth 0, everything deeper.
+    #[inline]
+    fn span(&self, depth: usize, len: usize) -> std::ops::Range<usize> {
+        if depth > 0 {
+            return 0..len;
+        }
+        // In u64 so `len * of` cannot overflow a 32-bit usize.
+        let bound = |chunk: usize| (len as u64 * chunk as u64 / self.of as u64) as usize;
+        bound(self.chunk)..bound(self.chunk + 1)
+    }
+
+    /// Does this firing record the access counters of `depth`? Depth-0 accesses
+    /// happen once per firing, so only chunk 0 counts them.
+    #[inline]
+    fn counts_access(&self, depth: usize) -> bool {
+        depth > 0 || self.chunk == 0
+    }
 }
 
 impl CompiledRule {
@@ -824,57 +812,28 @@ impl CompiledRule {
         scratch: &mut JoinScratch,
         emit: &mut dyn FnMut(&[Const]),
     ) -> usize {
-        debug_assert_eq!(access.paths.len(), self.literals.len());
-        debug_assert!(
-            scratch.env.iter().all(Option::is_none),
-            "scratch environment must be clean between fires"
-        );
-        let delta_path = match delta {
-            Some((pos, relation)) => self.access_for(pos, Some(relation)),
-            None => AccessPath::FullScan,
-        };
-        let ctx = FireCtx {
-            db,
-            delta,
-            delta_path,
-            access,
-        };
-        let mut count = 0usize;
-        self.join(&ctx, 0, scratch, emit, &mut count);
-        count
+        self.fire_chunk(db, delta, access, scratch, (0, 1), emit)
     }
 
-    /// Fire one shard of a hash-partitioned firing: like [`CompiledRule::fire_with`],
-    /// but the depth-0 (outer) rows are filtered to those [`ShardSpec::owns`] says
-    /// belong to this worker, and `emit` additionally receives the outer row id — the
-    /// insertion key the round driver merge-sorts per-worker out-buffers by, so the
-    /// merged staging relation reproduces the single-thread emission order exactly.
-    ///
-    /// The union of all shards' emissions is exactly the `fire_with` emission set:
-    /// every outer row is owned by exactly one shard, and within a shard the outer
-    /// rows are enumerated in the same ascending order `fire_with` uses. Firings with
-    /// no partitionable outer enumeration (empty bodies, a fully bound or builtin
-    /// first literal) run entirely on shard 0 with outer key 0. Depth-0 access
-    /// counters are recorded by shard 0 only, so counter totals match the
-    /// single-thread run; inner-depth counters split exactly across shards.
-    ///
-    /// NOTE: the depth-0 dispatch below intentionally mirrors [`CompiledRule::join`]'s
-    /// (delta-path selection, arity check, key hashing, counter attribution) rather
-    /// than sharing one body — folding shard filtering and the outer-id-carrying
-    /// emit into the sequential hot path would tax every single-threaded join. Any
-    /// change to either copy must keep the other in lockstep; the
-    /// `assert_partition_matches_fire` test harness pins them against each other
-    /// across every access path, worker count, and partition-column choice.
-    pub fn fire_partition(
+    /// Fire chunk `chunk` of `of`: like [`CompiledRule::fire_with`], but the
+    /// depth-0 enumeration — a scan's row ids or a probe's candidate list — is
+    /// cut into `of` contiguous, near-equal chunks and only chunk `chunk` is
+    /// enumerated. Concatenating the emissions of chunks `0..of` in order gives
+    /// exactly `fire_with`'s emission sequence, and their counters sum to its
+    /// counters: work that cannot be split at depth 0 (an empty body, the
+    /// virtual `succ`, a membership check) and the depth-0 access counters all
+    /// belong to chunk 0.
+    pub(crate) fn fire_chunk(
         &self,
         db: &Database,
         delta: Option<(usize, &Relation)>,
         access: &RuleAccess,
         scratch: &mut JoinScratch,
-        shard: &ShardSpec<'_>,
-        emit: &mut dyn FnMut(RowId, &[Const]),
+        (chunk, of): (usize, usize),
+        emit: &mut dyn FnMut(&[Const]),
     ) -> usize {
         debug_assert_eq!(access.paths.len(), self.literals.len());
+        debug_assert!(chunk < of, "chunk {chunk} of {of}");
         debug_assert!(
             scratch.env.iter().all(Option::is_none),
             "scratch environment must be clean between fires"
@@ -883,95 +842,30 @@ impl CompiledRule {
             Some((pos, relation)) => self.access_for(pos, Some(relation)),
             None => AccessPath::FullScan,
         };
+        if chunk > 0 {
+            // Work that cannot be split at depth 0 belongs to chunk 0.
+            let Some(first) = self.literals.first() else {
+                return 0;
+            };
+            let virtual_succ = first.is_succ && db.relation(first.predicate).is_none();
+            let path = match delta {
+                Some((0, _)) => delta_path,
+                _ => access.paths[0],
+            };
+            if virtual_succ || path == AccessPath::Membership {
+                return 0;
+            }
+        }
         let ctx = FireCtx {
             db,
             delta,
             delta_path,
             access,
+            chunk,
+            of,
         };
         let mut count = 0usize;
-
-        let unpartitionable = self.literals.is_empty()
-            || (self.literals[0].is_succ && db.relation(self.literals[0].predicate).is_none());
-        if unpartitionable {
-            if shard.shard == 0 {
-                let mut inner = |tuple: &[Const]| emit(0, tuple);
-                self.join(&ctx, 0, scratch, &mut inner, &mut count);
-            }
-            return count;
-        }
-
-        let literal = &self.literals[0];
-        let use_delta = matches!(ctx.delta, Some((0, _)));
-        let (relation, path): (&Relation, AccessPath) = if use_delta {
-            (ctx.delta.expect("delta checked above").1, ctx.delta_path)
-        } else {
-            match ctx.db.relation(literal.predicate) {
-                Some(rel) => (rel, ctx.access.paths[0]),
-                None => return 0,
-            }
-        };
-        if relation.arity() != literal.slots.len() {
-            return 0;
-        }
-
-        match path {
-            AccessPath::Membership => {
-                // A single fully bound candidate row: no enumeration to split.
-                if shard.shard == 0 {
-                    scratch.counters.membership_checks += 1;
-                    scratch.key_buf.clear();
-                    for slot in &literal.slots {
-                        match slot {
-                            Slot::Const(c) => scratch.key_buf.push(*c),
-                            Slot::Var(idx) => scratch
-                                .key_buf
-                                .push(scratch.env[*idx].expect("bound position has a value")),
-                        }
-                    }
-                    if relation.contains(&scratch.key_buf) {
-                        let mut inner = |tuple: &[Const]| emit(0, tuple);
-                        self.join(&ctx, 1, scratch, &mut inner, &mut count);
-                    }
-                }
-            }
-            AccessPath::IndexProbe(index) => {
-                if shard.shard == 0 {
-                    scratch.counters.index_probes += 1;
-                }
-                // At depth 0 the bound positions can only hold constants.
-                let mut hasher = KeyHasher::new();
-                for &i in &literal.bound_positions {
-                    let value = match &literal.slots[i] {
-                        Slot::Const(c) => *c,
-                        Slot::Var(idx) => scratch.env[*idx].expect("bound position has a value"),
-                    };
-                    hasher.push(&value);
-                }
-                let candidates = relation.probe_candidates(index, hasher.finish());
-                for &row_id in candidates {
-                    let row = relation.row(row_id);
-                    if !shard.owns(row_id, row) {
-                        continue;
-                    }
-                    let mut inner = |tuple: &[Const]| emit(row_id, tuple);
-                    self.bind_and_descend(&ctx, 0, row, scratch, &mut inner, &mut count);
-                }
-            }
-            AccessPath::FullScan => {
-                if shard.shard == 0 {
-                    scratch.counters.full_scans += 1;
-                }
-                for row_id in 0..relation.len() as RowId {
-                    let row = relation.row(row_id);
-                    if !shard.owns(row_id, row) {
-                        continue;
-                    }
-                    let mut inner = |tuple: &[Const]| emit(row_id, tuple);
-                    self.bind_and_descend(&ctx, 0, row, scratch, &mut inner, &mut count);
-                }
-            }
-        }
+        self.join(&ctx, 0, scratch, emit, &mut count);
         count
     }
 
@@ -1088,7 +982,9 @@ impl CompiledRule {
                 }
             }
             AccessPath::IndexProbe(index) => {
-                scratch.counters.index_probes += 1;
+                if ctx.counts_access(depth) {
+                    scratch.counters.index_probes += 1;
+                }
                 // Hash the bound values straight out of the slots/environment — no key
                 // tuple is materialized. `bound_positions` is sorted, matching the
                 // index's normalized column order.
@@ -1101,14 +997,17 @@ impl CompiledRule {
                     hasher.push(&value);
                 }
                 let candidates = relation.probe_candidates(index, hasher.finish());
-                for &row_id in candidates {
+                for &row_id in &candidates[ctx.span(depth, candidates.len())] {
                     self.bind_and_descend(ctx, depth, relation.row(row_id), scratch, emit, count);
                 }
             }
             AccessPath::FullScan => {
-                scratch.counters.full_scans += 1;
-                for row_id in 0..relation.len() as RowId {
-                    self.bind_and_descend(ctx, depth, relation.row(row_id), scratch, emit, count);
+                if ctx.counts_access(depth) {
+                    scratch.counters.full_scans += 1;
+                }
+                for row_id in ctx.span(depth, relation.len()) {
+                    let row = relation.row(row_id as RowId);
+                    self.bind_and_descend(ctx, depth, row, scratch, emit, count);
                 }
             }
         }
@@ -1388,89 +1287,68 @@ mod tests {
         assert_eq!(results, vec![vec![c(100)]]);
     }
 
-    /// Reference check: the union of all shards' emissions equals `fire_with`'s, with
-    /// outer keys that reconstruct the sequential emission order — exercised both
-    /// with per-row hashing and with a precomputed assignment vector (the two
-    /// ownership paths must be indistinguishable).
-    fn assert_partition_matches_fire(
+    /// Reference check for chunked firing: the emissions of chunks `0..of`,
+    /// concatenated in chunk order, equal `fire_with`'s emission sequence, and
+    /// the chunks' instantiation counts and access counters sum to its own.
+    /// Each chunk fires on a fresh scratch, like a worker of a parallel round.
+    fn assert_chunks_match_fire(
         compiled: &CompiledRule,
         db: &Database,
         delta: Option<(usize, &Relation)>,
-        workers: usize,
-        columns: Option<&[usize]>,
+        of: usize,
     ) {
         let access = compiled.resolve_access(db);
         let mut scratch = compiled.scratch();
         let mut sequential = Vec::new();
-        compiled.fire_with(db, delta, &access, &mut scratch, &mut |t| {
+        let fired = compiled.fire_with(db, delta, &access, &mut scratch, &mut |t| {
             sequential.push(t.to_vec())
         });
-        let seq_counters = scratch.counters;
-
-        // A precomputed assignment for the scanned-outer case, built with the same
-        // shard function the hashing path uses.
-        let outer_assign: Option<Vec<u8>> = compiled.literals.first().and_then(|literal| {
-            if !literal.bound_positions.is_empty() {
-                return None;
-            }
-            let relation = match delta {
-                Some((0, rel)) => rel,
-                _ => db.relation(literal.predicate)?,
-            };
-            Some(
-                (0..relation.len() as RowId)
-                    .map(|id| shard_of_row(relation.row(id), columns, workers) as u8)
-                    .collect(),
-            )
-        });
-
-        for assign in [None, outer_assign.as_deref()] {
-            let mut merged: Vec<(RowId, Vec<Const>)> = Vec::new();
-            let mut par_counters = JoinCounters::default();
-            for w in 0..workers {
-                let mut shard_scratch = compiled.scratch();
-                let shard = ShardSpec {
-                    shard: w,
-                    of: workers,
-                    columns,
-                    assign,
-                };
-                compiled.fire_partition(
-                    db,
-                    delta,
-                    &access,
-                    &mut shard_scratch,
-                    &shard,
-                    &mut |outer, t| merged.push((outer, t.to_vec())),
-                );
-                par_counters.index_probes += shard_scratch.counters.index_probes;
-                par_counters.full_scans += shard_scratch.counters.full_scans;
-                par_counters.membership_checks += shard_scratch.counters.membership_checks;
-            }
-            // Stable sort by the outer insertion key reconstructs the sequential order.
-            merged.sort_by_key(|(outer, _)| *outer);
-            let tuples: Vec<Vec<Const>> = merged.into_iter().map(|(_, t)| t).collect();
-            assert_eq!(
-                tuples,
-                sequential,
-                "partitioned firing must match fire_with (assign: {})",
-                if assign.is_some() {
-                    "precomputed"
-                } else {
-                    "hashed"
-                }
+        let mut chunked = Vec::new();
+        let mut chunked_fired = 0usize;
+        let mut counters = JoinCounters::default();
+        for chunk in 0..of {
+            let mut chunk_scratch = compiled.scratch();
+            chunked_fired += compiled.fire_chunk(
+                db,
+                delta,
+                &access,
+                &mut chunk_scratch,
+                (chunk, of),
+                &mut |t| chunked.push(t.to_vec()),
             );
-            assert_eq!(par_counters.index_probes, seq_counters.index_probes);
-            assert_eq!(par_counters.full_scans, seq_counters.full_scans);
-            assert_eq!(
-                par_counters.membership_checks,
-                seq_counters.membership_checks
-            );
+            counters.index_probes += chunk_scratch.counters.index_probes;
+            counters.full_scans += chunk_scratch.counters.full_scans;
+            counters.membership_checks += chunk_scratch.counters.membership_checks;
         }
+        assert_eq!(
+            chunked, sequential,
+            "{of} chunks must replay fire_with in order"
+        );
+        assert_eq!(chunked_fired, fired);
+        assert_eq!(counters.index_probes, scratch.counters.index_probes);
+        assert_eq!(counters.full_scans, scratch.counters.full_scans);
+        assert_eq!(
+            counters.membership_checks,
+            scratch.counters.membership_checks
+        );
+    }
+
+    /// How many instantiations chunk `chunk` of `of` emits on its own.
+    fn chunk_count(
+        compiled: &CompiledRule,
+        db: &Database,
+        delta: Option<(usize, &Relation)>,
+        chunk: usize,
+        of: usize,
+    ) -> usize {
+        let access = compiled.resolve_access(db);
+        let mut scratch = compiled.scratch();
+        compiled.fire_chunk(db, delta, &access, &mut scratch, (chunk, of), &mut |_| {})
     }
 
     #[test]
     fn partitioned_firing_reproduces_fire_with() {
+        // Depth 0 scans e; depth 1 probes f's index on column 0.
         let compiled = compile("t(X, Y) :- e(X, W), f(W, Y).");
         let mut db = Database::new();
         for i in 0..30i64 {
@@ -1481,9 +1359,12 @@ mod tests {
         arities.insert(Symbol::intern("e"), 2);
         arities.insert(Symbol::intern("f"), 2);
         compiled.ensure_indexes(&mut db, &arities);
-        for workers in [1usize, 2, 3, 8] {
-            assert_partition_matches_fire(&compiled, &db, None, workers, None);
-            assert_partition_matches_fire(&compiled, &db, None, workers, Some(&[0]));
+        assert!(matches!(
+            compiled.resolve_access(&db).paths[1],
+            AccessPath::IndexProbe(_)
+        ));
+        for of in [1usize, 2, 3, 8, 64] {
+            assert_chunks_match_fire(&compiled, &db, None, of);
         }
     }
 
@@ -1494,30 +1375,30 @@ mod tests {
         for i in 0..20i64 {
             db.add_fact("e", &[c(i), c(i + 1)]);
         }
-        // Delta at the recursive literal: the outer e-scan is partitioned.
+        // Delta at position 1: the outer e-scan is chunked, the delta probed.
         let mut delta = Relation::new(2);
         delta.ensure_index(&[0]);
         for i in 0..20i64 {
             delta.insert(&[c(i + 1), c(99)]);
         }
-        for workers in [2usize, 4] {
-            assert_partition_matches_fire(&compiled, &db, Some((1, &delta)), workers, None);
+        for of in [2usize, 4, 64] {
+            assert_chunks_match_fire(&compiled, &db, Some((1, &delta)), of);
         }
-        // Delta at position 0 (the reordered SIP shape): the delta itself is sharded.
+        // Delta at position 0 (the reordered SIP shape): the delta itself is chunked.
         let exit = compile("t(X, Y) :- d(X, Y).");
         let mut d = Relation::new(2);
         for i in 0..20i64 {
             d.insert(&[c(i), c(i + 1)]);
         }
-        for workers in [2usize, 4] {
-            assert_partition_matches_fire(&exit, &db, Some((0, &d)), workers, None);
+        for of in [2usize, 4, 64] {
+            assert_chunks_match_fire(&exit, &db, Some((0, &d)), of);
         }
     }
 
     #[test]
-    fn probed_outer_rows_distribute_under_row_hash() {
-        // A constant-first literal probes at depth 0; all candidates share the probe
-        // key, so only whole-row hashing (columns: None) spreads them across shards.
+    fn probed_outer_candidates_split_across_chunks() {
+        // A constant-first literal probes at depth 0: its candidate list, not the
+        // relation, is what the chunks divide.
         let compiled = compile("q(Y) :- t(5, Y).");
         let mut db = Database::new();
         for i in 0..40i64 {
@@ -1527,68 +1408,44 @@ mod tests {
         let mut arities = FxHashMap::default();
         arities.insert(Symbol::intern("t"), 2);
         compiled.ensure_indexes(&mut db, &arities);
-        assert_partition_matches_fire(&compiled, &db, None, 4, None);
-        let access = compiled.resolve_access(&db);
-        let mut nonempty_shards = 0usize;
-        for w in 0..4usize {
-            let mut scratch = compiled.scratch();
-            let shard = ShardSpec {
-                shard: w,
-                of: 4,
-                columns: None,
-                assign: None,
-            };
-            let n =
-                compiled.fire_partition(&db, None, &access, &mut scratch, &shard, &mut |_, _| {});
-            if n > 0 {
-                nonempty_shards += 1;
-            }
+        assert!(matches!(
+            compiled.resolve_access(&db).paths[0],
+            AccessPath::IndexProbe(_)
+        ));
+        for of in [1usize, 4, 64] {
+            assert_chunks_match_fire(&compiled, &db, None, of);
         }
-        assert!(
-            nonempty_shards > 1,
-            "row-hash must spread probe candidates over multiple shards"
-        );
+        let per_chunk: Vec<usize> = (0..4)
+            .map(|chunk| chunk_count(&compiled, &db, None, chunk, 4))
+            .collect();
+        assert_eq!(per_chunk, vec![10, 10, 10, 10]);
     }
 
     #[test]
-    fn unpartitionable_firings_run_on_shard_zero_only() {
-        // Empty body: the fact rule fires once, from shard 0.
-        let fact = compile("m(5).");
-        let db = Database::new();
-        let access = fact.resolve_access(&db);
-        let mut total = 0usize;
-        for w in 0..4usize {
-            let mut scratch = fact.scratch();
-            let shard = ShardSpec {
-                shard: w,
-                of: 4,
-                columns: None,
-                assign: None,
-            };
-            total += fact.fire_partition(&db, None, &access, &mut scratch, &shard, &mut |o, t| {
-                assert_eq!(o, 0);
-                assert_eq!(t, [c(5)]);
-            });
-        }
-        assert_eq!(total, 1);
-
-        // Builtin-first body (no binder before it): no shard emits anything, like
-        // fire_with.
-        let succ_first = compile("p(Y) :- succ(X, Y), q(X).");
+    fn unsplittable_firings_run_on_chunk_zero_only() {
         let mut db = Database::new();
-        db.add_fact("q", &[c(1)]);
-        let access = succ_first.resolve_access(&db);
-        for w in 0..2usize {
-            let mut scratch = succ_first.scratch();
-            let shard = ShardSpec {
-                shard: w,
-                of: 2,
-                columns: None,
-                assign: None,
-            };
-            let n =
-                succ_first.fire_partition(&db, None, &access, &mut scratch, &shard, &mut |_, _| {});
-            assert_eq!(n, 0);
+        db.add_fact("q", &[c(1), c(2)]);
+        db.add_fact("s", &[c(4)]);
+        for i in 0..10i64 {
+            db.add_fact("r", &[c(i)]);
+        }
+        let rules = [
+            // Empty body: the fact rule fires once.
+            "m(5).",
+            // Membership first: one fully bound check, no enumeration to split.
+            "p(X) :- q(1, 2), r(X).",
+            // Virtual succ first: one arithmetic candidate.
+            "p(Y) :- succ(3, Y), s(Y).",
+        ];
+        for text in rules {
+            let compiled = compile(text);
+            for of in [1usize, 2, 4, 64] {
+                assert_chunks_match_fire(&compiled, &db, None, of);
+                for chunk in 1..of {
+                    assert_eq!(chunk_count(&compiled, &db, None, chunk, of), 0, "{text}");
+                }
+            }
+            assert!(chunk_count(&compiled, &db, None, 0, 4) > 0, "{text}");
         }
     }
 

@@ -24,20 +24,17 @@
 //! # Parallel rounds
 //!
 //! When [`EvalOptions::threads`] asks for more than one worker, every round whose
-//! firings enumerate enough outer rows (see [`EvalOptions::parallel_threshold`]) is
-//! hash-partitioned: each firing's depth-0 row set — the round's delta when the delta
-//! literal leads the body, the driving relation scan otherwise — is split across a
-//! `std::thread::scope` worker pool by [`crate::storage::shard_of_row`] (the join-key
-//! columns the index plan maintains on a scanned outer, whole-row hash otherwise —
-//! see [`partition_columns`] for why probed outers must row-hash). Workers run
-//! [`CompiledRule::fire_partition`] with per-worker [`JoinScratch`]es from a scratch
-//! pool and append emissions to per-worker out-buffers tagged with the outer row id;
-//! the main thread then merge-sorts the buffers by that insertion key and pushes every
-//! tuple through the same collision-verified dedup path the sequential rounds use.
-//! The result is bit-for-bit the single-thread evaluation: same fact set, same
-//! relation insertion order, same machine-independent counters — only wall-clock
-//! changes. Rounds below the threshold (long chains with tiny deltas) stay
-//! sequential, so parallelism never taxes workloads it cannot help.
+//! firings enumerate enough outer rows (see [`EvalOptions::parallel_threshold`]) runs
+//! on a `std::thread::scope` worker pool. Worker `w` of `n` fires chunk `w` of every
+//! firing through `CompiledRule::fire_chunk` — the one join body, restricted to the
+//! `w`-th contiguous slice of its depth-0 enumeration (a scan's row ids or a probe's
+//! candidate list) — with its own [`JoinScratch`]es, into its own out-buffers. The
+//! main thread then stages each firing's buffers in worker order, which is exactly
+//! the sequential emission order, through the same collision-verified dedup path
+//! the sequential rounds use. The result is bit-for-bit the single-thread
+//! evaluation: same fact set, same relation insertion order, same
+//! machine-independent counters — only wall-clock changes. Rounds below the
+//! threshold (long chains with tiny deltas) stay sequential.
 
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -46,12 +43,10 @@ use std::sync::Mutex;
 use crate::ast::{Const, Program};
 use crate::fault::FaultSite;
 use crate::fx::FxHashMap;
-use crate::storage::{Database, Relation, RowId};
+use crate::storage::{Database, Relation};
 use crate::symbol::Symbol;
 
-use super::join::{
-    reorder_body, CompiledRule, EvalOptions, Governor, JoinScratch, RuleAccess, ShardSpec,
-};
+use super::join::{reorder_body, CompiledRule, EvalOptions, Governor, JoinScratch, RuleAccess};
 use super::stats::EvalStats;
 use super::trace::EvalProfile;
 use super::{arity_map, EvalError, EvalResult};
@@ -825,29 +820,24 @@ struct WorkerState {
     times: Vec<u64>,
 }
 
-/// A worker's emissions for one firing: tuples appended flat, with `(outer row id,
-/// tuple count)` run-length keys. Within one worker the keys are strictly ascending
-/// (the shard enumerates outer rows in order), and shards are disjoint, so a k-way
-/// merge by outer id reconstructs the sequential emission order exactly.
+/// A worker's emissions for one firing: head tuples appended flat, and their
+/// count (a zero-arity head appends no data, so the count is what replays it).
 #[derive(Default)]
 struct OutBuf {
-    keys: Vec<(RowId, u32)>,
     data: Vec<Const>,
+    tuples: usize,
 }
 
 impl OutBuf {
     fn clear(&mut self) {
-        self.keys.clear();
         self.data.clear();
+        self.tuples = 0;
     }
 
     #[inline]
-    fn push(&mut self, outer: RowId, tuple: &[Const]) {
-        match self.keys.last_mut() {
-            Some((id, n)) if *id == outer => *n += 1,
-            _ => self.keys.push((outer, 1)),
-        }
+    fn push(&mut self, tuple: &[Const]) {
         self.data.extend_from_slice(tuple);
+        self.tuples += 1;
     }
 }
 
@@ -911,8 +901,8 @@ fn outer_rows(rules: &[CompiledRule], db: &Database, firings: &[Firing<'_>]) -> 
 }
 
 /// Execute one round's firings into `staging`: sequentially through the per-rule
-/// runtimes, or hash-partitioned across the worker pool when the round is heavy
-/// enough. Both paths stage the same facts in the same order and record the same
+/// runtimes, or chunked across the worker pool when the round is heavy enough.
+/// Both paths stage the same facts in the same order and record the same
 /// counters (see the module docs).
 #[allow(clippy::too_many_arguments)]
 fn run_round(
@@ -948,64 +938,10 @@ fn run_round(
     governor.fault_site(FaultSite::RoundMerge)
 }
 
-/// One firing of a partitioned round, with the partition-key columns all workers
-/// shard its outer rows by and (for scanned outers) the round's precomputed shard
-/// assignment of the outer relation's rows.
-struct Job<'d, 'p> {
-    rule_index: usize,
-    delta: Option<(usize, &'d Relation)>,
-    columns: Option<&'p [usize]>,
-    assign: Option<&'p [u8]>,
-}
-
-/// The outer relation a firing scans at depth 0, when there is one to precompute
-/// shard assignments for: the delta relation when the delta leads the body, the
-/// driving database relation for an unbound (full-scan) first literal. Probed,
-/// fully bound, builtin-first and empty-bodied firings return `None` — their outer
-/// enumeration is a hash bucket or a single row, so hashing the whole relation up
-/// front would cost more than it saves.
-fn scanned_outer<'d>(
-    rule: &CompiledRule,
-    db: &'d Database,
-    delta: Option<(usize, &'d Relation)>,
-) -> Option<&'d Relation> {
-    let literal = rule.literals.first()?;
-    if literal.is_builtin_succ() && db.relation(literal.predicate).is_none() {
-        return None;
-    }
-    if !literal.bound_positions.is_empty() {
-        return None;
-    }
-    match delta {
-        Some((0, rel)) => Some(rel),
-        _ => db.relation(literal.predicate),
-    }
-}
-
-/// The partition key of a firing's outer rows.
-///
-/// A *probed* outer (nonempty bound positions — constants, at depth 0) must use
-/// whole-row hash: every candidate row shares the probe-key values, so partitioning
-/// by them would collapse all matches onto a single shard and leave the other
-/// workers idle. A *scanned* outer (the delta when it leads the body) partitions by
-/// the first column set the index plan maintains on its predicate — the join key
-/// other literals probe it on, the sharding columns the ROADMAP calls out — so
-/// tuples sharing a downstream join key stay on one worker; whole-row hash is the
-/// fallback when no index plan covers the predicate.
-fn partition_columns<'p>(plan: &'p EvalPlan<'_>, rule: &'p CompiledRule) -> Option<&'p [usize]> {
-    let literal = rule.literals.first()?;
-    if !literal.bound_positions.is_empty() {
-        return None;
-    }
-    plan.index_plan()
-        .get(&literal.predicate)
-        .and_then(|sets| sets.first())
-        .map(Vec::as_slice)
-}
-
-/// The partitioned round: shard every firing's outer rows across the worker pool,
-/// collect per-worker out-buffers, then merge them — sorted by the outer-row
-/// insertion key — through the staging relations' collision-verified dedup tables.
+/// The parallel round: worker `w` of `n` fires chunk `w` of every firing (see
+/// [`CompiledRule::fire_chunk`]) into its own out-buffers; the merge then stages
+/// each firing's buffers in worker order — which is the sequential emission
+/// order — through the same dedup path `fire_into` uses.
 #[allow(clippy::too_many_arguments)]
 fn run_round_parallel(
     plan: &EvalPlan<'_>,
@@ -1024,54 +960,16 @@ fn run_round_parallel(
     exec.ensure_pool(rules, stats, governor);
 
     let partition_start = span_start(stats);
-    // Precompute each scanned outer's shard assignment once (PR 3 follow-on): one
-    // hashing pass on the round driver replaces every worker re-hashing every outer
-    // row in its ownership filter — O(rows) total instead of O(workers × rows). The
-    // assignment uses exactly `shard_of_row` over the job's partition columns, so
-    // the partitioning (and therefore the merged emission order) is unchanged.
-    // Firings sharing an (outer relation, partition columns) pair — e.g. a rule with
-    // several delta positions scanning the same driving relation — share one vector.
-    let mut computed: Vec<Vec<u8>> = Vec::new();
-    let mut keys: Vec<(*const Relation, Option<&[usize]>)> = Vec::new();
-    let assign_index: Vec<Option<usize>> = firings
-        .iter()
-        .map(|firing| {
-            let rule = &rules[firing.rule_index];
-            let columns = partition_columns(plan, rule);
-            let outer = scanned_outer(rule, db, firing.delta)?;
-            let key = (outer as *const Relation, columns);
-            if let Some(found) = keys.iter().position(|&k| k == key) {
-                return Some(found);
-            }
-            computed.push(
-                (0..outer.len() as RowId)
-                    .map(|id| crate::storage::shard_of_row(outer.row(id), columns, workers) as u8)
-                    .collect(),
-            );
-            keys.push(key);
-            Some(computed.len() - 1)
-        })
-        .collect();
-    let jobs: Vec<Job<'_, '_>> = firings
-        .iter()
-        .zip(&assign_index)
-        .map(|(firing, assign)| Job {
-            rule_index: firing.rule_index,
-            delta: firing.delta,
-            columns: partition_columns(plan, &rules[firing.rule_index]),
-            assign: assign.map(|idx| computed[idx].as_slice()),
-        })
-        .collect();
     for state in &mut exec.pool {
-        if state.bufs.len() < jobs.len() {
-            state.bufs.resize_with(jobs.len(), OutBuf::default);
+        if state.bufs.len() < firings.len() {
+            state.bufs.resize_with(firings.len(), OutBuf::default);
         }
-        for buf in &mut state.bufs[..jobs.len()] {
+        for buf in &mut state.bufs[..firings.len()] {
             buf.clear();
         }
         state.times.clear();
         if trace {
-            state.times.resize(jobs.len(), 0);
+            state.times.resize(firings.len(), 0);
         }
     }
     span_end(stats, "parallel.partition", partition_start);
@@ -1084,38 +982,40 @@ fn run_round_parallel(
     // worker (a bug, or an injected `Panic`-action fault) cannot tear down the
     // scope. The first panic records its payload and sets the governor's internal
     // abort token — siblings with armed polls trip at their next poll instead of
-    // running their shards to completion — and the round surfaces a structured
+    // running their chunks to completion — and the round surfaces a structured
     // [`EvalError::WorkerPanic`]. `AssertUnwindSafe` is sound here because the
     // whole evaluation is discarded on the error path: no half-mutated scratch or
     // out-buffer is ever observed again.
     let panicked: Mutex<Option<String>> = Mutex::new(None);
     {
         let runtimes: &[RuleRuntime] = runtimes;
-        let jobs: &[Job<'_, '_>] = &jobs;
         let panicked = &panicked;
         let abort = governor.abort_token();
         let abort = &abort;
-        std::thread::scope(|scope| {
-            let mut states = exec.pool.iter_mut();
-            let first = states.next().expect("pool has at least one worker");
-            for (i, state) in states.enumerate() {
-                scope.spawn(move || {
-                    let body = AssertUnwindSafe(|| {
-                        run_worker(i + 1, workers, state, jobs, rules, runtimes, db, trace);
-                    });
-                    if let Err(payload) = catch_unwind(body) {
-                        abort.cancel();
-                        *panicked.lock().unwrap() = Some(panic_message(payload.as_ref()));
-                    }
-                });
-            }
+        let run = |worker: usize, state: &mut WorkerState| {
             let body = AssertUnwindSafe(|| {
-                run_worker(0, workers, first, jobs, rules, runtimes, db, trace);
+                run_worker(
+                    (worker, workers),
+                    state,
+                    firings,
+                    rules,
+                    runtimes,
+                    db,
+                    trace,
+                );
             });
             if let Err(payload) = catch_unwind(body) {
                 abort.cancel();
                 *panicked.lock().unwrap() = Some(panic_message(payload.as_ref()));
             }
+        };
+        std::thread::scope(|scope| {
+            let mut states = exec.pool.iter_mut();
+            let first = states.next().expect("pool has at least one worker");
+            for (i, state) in states.enumerate() {
+                scope.spawn(move || run(i + 1, state));
+            }
+            run(0, first);
         });
     }
     if let Some(message) = panicked
@@ -1129,45 +1029,29 @@ fn run_round_parallel(
         });
     }
 
-    // A partitioned firing counts once (like its sequential counterpart); its
-    // time is the per-worker join times summed — CPU time, not round latency.
+    // A chunked firing counts once (like its sequential counterpart); its time
+    // is the per-worker join times summed — CPU time, not round latency.
     if let Some(profile) = stats.profile.as_deref_mut() {
-        for (j, job) in jobs.iter().enumerate() {
+        for (j, firing) in firings.iter().enumerate() {
             let total: u64 = exec.pool.iter().map(|state| state.times[j]).sum();
-            profile.record_rule_firing(job.rule_index, total);
+            profile.record_rule_firing(firing.rule_index, total);
         }
     }
 
-    // Merge: per firing, in firing order, k-way by outer row id — reconstructing the
-    // sequential emission order — through the same dedup path `fire_into` uses.
     let merge_start = span_start(stats);
-    for (j, job) in jobs.iter().enumerate() {
-        let rule = &rules[job.rule_index];
+    for (j, firing) in firings.iter().enumerate() {
+        let rule = &rules[firing.rule_index];
         let head = db.relation(rule.head_predicate);
         let staged = staging
             .get_mut(&rule.head_predicate)
             .expect("idb staging exists");
         let arity = staged.arity();
-        let mut cursors: Vec<(usize, usize)> = vec![(0, 0); workers];
-        loop {
-            let mut next: Option<(usize, RowId)> = None;
-            for (w, &(key_idx, _)) in cursors.iter().enumerate() {
-                if let Some(&(outer, _)) = exec.pool[w].bufs[j].keys.get(key_idx) {
-                    if next.is_none_or(|(_, best)| outer < best) {
-                        next = Some((w, outer));
-                    }
-                }
-            }
-            let Some((w, _)) = next else { break };
-            let buf = &exec.pool[w].bufs[j];
-            let (key_idx, mut offset) = cursors[w];
-            let (_, count) = buf.keys[key_idx];
-            for _ in 0..count {
-                let tuple = &buf.data[offset..offset + arity];
-                offset += arity;
+        for state in &exec.pool {
+            let buf = &state.bufs[j];
+            for k in 0..buf.tuples {
+                let tuple = &buf.data[k * arity..(k + 1) * arity];
                 sink.stage(rule, head, staged, tuple, stats);
             }
-            cursors[w] = (key_idx + 1, offset);
         }
     }
     span_end(stats, "parallel.merge", merge_start);
@@ -1178,52 +1062,40 @@ fn run_round_parallel(
         }
     }
     stats.parallel_rounds += 1;
-    stats.parallel_firings += jobs.len();
+    stats.parallel_firings += firings.len();
     stats.threads_used = stats.threads_used.max(workers);
     governor.fault_site(FaultSite::RoundMerge)
 }
 
-/// One worker's share of a partitioned round: every firing, restricted to the outer
-/// rows its shard owns, emitted into its own out-buffers.
-///
-/// Ownership of a scanned outer row is an array load into the round's precomputed
-/// shard assignment (see [`run_round_parallel`]); only probed outers — whose
-/// candidate sets are too small to be worth a whole-relation hashing pass — fall
-/// back to hashing each candidate row.
+/// One worker's share of a parallel round: its chunk of every firing, emitted
+/// into its own out-buffers.
 #[allow(clippy::too_many_arguments)]
 fn run_worker(
-    worker: usize,
-    of: usize,
+    chunk: (usize, usize),
     state: &mut WorkerState,
-    jobs: &[Job<'_, '_>],
+    firings: &[Firing<'_>],
     rules: &[CompiledRule],
     runtimes: &[RuleRuntime],
     db: &Database,
     trace: bool,
 ) {
-    for (j, job) in jobs.iter().enumerate() {
-        let rule = &rules[job.rule_index];
+    for (j, firing) in firings.iter().enumerate() {
+        let rule = &rules[firing.rule_index];
         let buf = &mut state.bufs[j];
-        let scratch = &mut state.scratches[job.rule_index];
+        let scratch = &mut state.scratches[firing.rule_index];
         // Once this worker's poll tripped (cancellation, deadline, a sibling's
-        // panic via the abort token), stop taking jobs: the round is doomed.
+        // panic via the abort token), stop taking firings: the round is doomed.
         if scratch.poll_tripped() {
             continue;
         }
-        let shard = ShardSpec {
-            shard: worker,
-            of,
-            columns: job.columns,
-            assign: job.assign,
-        };
         let start = trace.then(std::time::Instant::now);
-        rule.fire_partition(
+        rule.fire_chunk(
             db,
-            job.delta,
-            &runtimes[job.rule_index].access,
+            firing.delta,
+            &runtimes[firing.rule_index].access,
             scratch,
-            &shard,
-            &mut |outer, tuple| buf.push(outer, tuple),
+            chunk,
+            &mut |tuple| buf.push(tuple),
         );
         if let Some(start) = start {
             state.times[j] = start.elapsed().as_nanos() as u64;

@@ -53,10 +53,10 @@ pub struct EvalStats {
     /// Rules whose body-literal order was changed by the selectivity heuristic
     /// (bound-position count, then relation size) at plan time.
     pub literal_reorders: usize,
-    /// Semi-naive rounds executed hash-partitioned across the worker pool (rounds
+    /// Semi-naive rounds executed chunked across the worker pool (rounds
     /// below the parallel threshold run sequentially and are not counted).
     pub parallel_rounds: usize,
-    /// Rule firings executed as partitioned jobs within parallel rounds.
+    /// Rule firings executed in chunks within parallel rounds.
     pub parallel_firings: usize,
     /// Largest worker count any parallel round of this run used (0 when every round
     /// ran sequentially).

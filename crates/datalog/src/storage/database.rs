@@ -119,23 +119,11 @@ impl Database {
         if rel.arity() != query.atom.arity() {
             return Vec::new();
         }
-        let mut out = Vec::new();
-        for row in rel.iter() {
-            let matches = query
-                .atom
-                .terms
-                .iter()
-                .enumerate()
-                .all(|(i, t)| match t.as_const() {
-                    Some(c) => row[i] == c,
-                    None => true,
-                });
-            if matches {
-                out.push(row.to_vec());
-            }
-        }
+        let pattern: Vec<Option<Const>> = query.atom.terms.iter().map(|t| t.as_const()).collect();
+        let mut ids = Vec::new();
+        rel.select(&pattern, &mut ids);
+        let mut out: Vec<Vec<Const>> = ids.into_iter().map(|id| rel.row(id).to_vec()).collect();
         out.sort();
-        out.dedup();
         out
     }
 

@@ -40,10 +40,12 @@
 //!
 //! Error codes: `parse`, `overloaded` (retryable — the message carries a
 //! `retry after N ms` hint), `deadline`, `cancelled`, `limit`, `shutdown`,
-//! `txn`, `internal`, and for replication `readonly` (TXN on a follower),
-//! `fenced` (a superseded ex-leader refuses writes and polls), `lease`
-//! (PROMOTE while the leader's lease is still valid), `repl` (subscription
-//! against a non-durable server, or a log/snapshot read failure).
+//! `txn`, `internal`, `unpublished` (the TXN is durable on the log but no view
+//! including it could be published yet), and for replication `readonly` (TXN
+//! on a follower), `fenced` (a superseded ex-leader refuses writes and polls),
+//! `lease` (PROMOTE while the leader's lease is still valid), `repl`
+//! (subscription against a non-durable server, or a log/snapshot read
+//! failure).
 //!
 //! Replication (`REPL SUBSCRIBE`, `PROMOTE`, follower mode via
 //! [`serve_follower`](crate::replication::serve_follower)) is documented in
@@ -60,9 +62,9 @@
 //!   rejected immediately with `ERR overloaded: … retry after N ms` — the
 //!   client backs off and retries ([`Client::txn_with_retry`]).
 //! * **Committed or structured error.** Every transaction either reports
-//!   `OK … epoch=E` (durable on the log before the reply is sent) or a
-//!   structured `ERR`; a connection killed mid-request loses only its reply,
-//!   never the store's consistency.
+//!   `OK … epoch=E` (durable on the log, and visible in every view from
+//!   epoch E on, before the reply is sent) or a structured `ERR`; a connection
+//!   killed mid-request loses only its reply, never the store's consistency.
 //! * **Graceful shutdown.** [`ServerHandle::shutdown`] stops admitting, drains
 //!   in-flight requests (bounded by `drain_timeout`), cancels stragglers via
 //!   the engine's [`CancelToken`], flushes the WAL, and hands the engine back.
@@ -178,8 +180,17 @@ struct View {
     model: Arc<Database>,
 }
 
-/// Outcome of one committed (or refused) transaction, as the writer reports it.
-type TxnOutcome = Result<(TxnSummary, u64), EngineError>;
+/// Outcome of one transaction, as the writer reports it.
+enum TxnOutcome {
+    /// Committed and visible in every view with epoch >= the carried epoch:
+    /// answered `OK … epoch=E`.
+    Committed(TxnSummary, u64),
+    /// Committed durably (first included at the carried epoch), but no view
+    /// including it could be published: answered `ERR unpublished`, never `OK`.
+    Unpublished(u64, EngineError),
+    /// Refused: nothing was committed.
+    Failed(EngineError),
+}
 
 /// The writer→reactor completion channel: outcomes queue here and the wake
 /// pipe interrupts the reactor's `poll` so replies go out immediately. The
@@ -238,7 +249,7 @@ impl Drop for TxnTicket {
         if !self.sent {
             self.completions.push(
                 self.conn_id,
-                Err(EngineError::Durability(
+                TxnOutcome::Failed(EngineError::Durability(
                     "server is shutting down".to_string(),
                 )),
             );
@@ -715,23 +726,41 @@ fn writer_core(
         // Assign each committed batch the epoch that first includes it; the
         // view published below carries the last of them, so a client holding
         // `OK … epoch=E` observes its write in every view with epoch >= E.
-        let mut outcomes = Vec::with_capacity(results.len());
-        for result in results {
-            outcomes.push(result.map(|summary| {
-                epoch += 1;
-                (summary, epoch)
-            }));
-        }
-        // Publish before replying: a reply in hand means the write is visible.
-        // A failed refresh (injected fault, tripped limit) keeps the previous
-        // view — still a committed prefix — and retries on the next group; the
-        // commits themselves are already durable either way.
-        if let Ok(model) = engine.refreshed_model() {
-            shared.publish(View {
-                epoch,
-                model: Arc::new(model),
+        let results: Vec<_> = results
+            .into_iter()
+            .map(|result| {
+                result.map(|summary| {
+                    epoch += 1;
+                    (summary, epoch)
+                })
+            })
+            .collect();
+        // Publish before replying: `OK` is only sent once the write is visible.
+        // A failed refresh (injected fault, tripped limit) drops the engine's
+        // model; retry once, re-materializing under the same governance limits.
+        // If that fails too, the previous view stays (still a committed prefix),
+        // the next group's publish includes these commits, and they are
+        // answered `ERR unpublished` — they are durable either way.
+        let unpublished = match engine
+            .refreshed_model()
+            .or_else(|_| engine.refreshed_model())
+        {
+            Ok(model) => {
+                shared.publish(View {
+                    epoch,
+                    model: Arc::new(model),
+                });
+                None
+            }
+            Err(error) => Some(error),
+        };
+        let outcomes = results
+            .into_iter()
+            .map(|result| match (result, &unpublished) {
+                (Ok((summary, epoch)), None) => TxnOutcome::Committed(summary, epoch),
+                (Ok((_, epoch)), Some(error)) => TxnOutcome::Unpublished(epoch, error.clone()),
+                (Err(error), _) => TxnOutcome::Failed(error),
             });
-        }
         shared
             .group_commits
             .store(engine.stats().wal_group_commits as u64, Ordering::Relaxed);
@@ -784,7 +813,7 @@ fn follower_loop(
                     replica.adopt_promotion(shared.repl.term.load(Ordering::Acquire));
                     return writer_core(replica.into_engine(), rx, shared, Some(req));
                 }
-                req.reply.send(Err(EngineError::Durability(
+                req.reply.send(TxnOutcome::Failed(EngineError::Durability(
                     "replica is read-only: write to the leader or promote it".to_string(),
                 )));
                 continue;
@@ -1075,12 +1104,17 @@ impl Reactor {
             };
             conn.awaiting_txn = false;
             let _ = match outcome {
-                Ok((summary, epoch)) => writeln!(
+                TxnOutcome::Committed(summary, epoch) => writeln!(
                     conn.outbuf,
                     "OK asserted={} retracted={} epoch={epoch}",
                     summary.asserted, summary.retracted
                 ),
-                Err(error) => respond_engine_error(&mut conn.outbuf, &error),
+                TxnOutcome::Unpublished(epoch, cause) => respond_err(
+                    &mut conn.outbuf,
+                    "unpublished",
+                    &format!("committed durably at epoch={epoch} but not yet visible: {cause}"),
+                ),
+                TxnOutcome::Failed(error) => respond_engine_error(&mut conn.outbuf, &error),
             };
             self.serve_buffered(conn_id);
             if let Some(conn) = self.conns.get_mut(&conn_id) {

@@ -1,8 +1,10 @@
-//! Property tests for the hash-partitioned parallel evaluator: for random programs
-//! and databases, evaluation at 2/4/8 worker threads must be *bit-identical* to the
-//! single-thread evaluation — the same fact set, the same relation insertion order
-//! (the deterministic-merge guarantee), and the same machine-independent counters —
-//! for both batch evaluation and `seminaive_resume`. A companion property pins the
+//! Property tests for the parallel evaluator, where each worker fires one
+//! contiguous chunk of every firing's depth-0 enumeration and the chunks are
+//! staged back in worker order: for random programs and databases, evaluation at
+//! 2/4/8 worker threads must be *bit-identical* to the single-thread evaluation —
+//! the same fact set, the same relation insertion order (chunks concatenated in
+//! order replay the sequential emission order), and the same machine-independent
+//! counters — for both batch evaluation and `seminaive_resume`. A companion property pins the
 //! ordering-invariance contract of the join-ordering heuristic: permuting rule bodies
 //! never changes the computed model.
 
@@ -31,7 +33,7 @@ const PROGRAMS: &[&str] = &[
     "p(X, Y) :- e(X, W), f(W, Y).\np(X, Y) :- e(X, W), p(W, Y).",
 ];
 
-/// Evaluation options forcing the partitioned path at any size.
+/// Evaluation options forcing the chunked parallel path at any size.
 fn options(threads: usize) -> EvalOptions {
     EvalOptions {
         threads,

@@ -189,9 +189,10 @@ proptest! {
     /// Tentpole chaos: a durable served engine with a fault armed at the
     /// group-commit WAL append or the view-refresh merge (error or panic
     /// action, random countdown), under concurrent writer clients. Every
-    /// transaction reply must be `OK` or a structured `ERR`; every `OK`d
-    /// fact must survive restart; and the reopened store must converge to
-    /// the from-scratch evaluation at 1/2/4 threads.
+    /// transaction reply must be `OK` or a structured `ERR`; every `OK … epoch=E`
+    /// fact must appear in a read at epoch >= E and survive restart; and the
+    /// reopened store must converge to the from-scratch evaluation at 1/2/4
+    /// threads.
     #[test]
     fn wal_and_merge_faults_during_group_commit_stay_contained(
         site_sel in 0usize..2,
@@ -234,27 +235,43 @@ proptest! {
                     let mut structured = 0usize;
                     let mut client = match Client::connect_with_retry(addr, 5) {
                         Ok(client) => client,
-                        Err(_) => return (acked, structured, 0usize),
+                        Err(_) => return (acked, structured, 0usize, Vec::new()),
                     };
                     let mut unstructured = 0usize;
+                    let mut invisible: Vec<String> = Vec::new();
                     for k in 0..txns_per_writer {
                         let (x, y) = (1000 * (w as i64 + 1) + k as i64, k as i64);
                         match client.txn_with_retry(&format!("+e({x}, {y})"), 8) {
-                            Ok(_) => acked.push((x, y)),
+                            Ok(reply) => {
+                                acked.push((x, y));
+                                // `OK … epoch=E`: a read from now on is at
+                                // epoch >= E and sees the write.
+                                match client.query_with_retry(&format!("e({x}, Y)"), 8) {
+                                    Ok(read)
+                                        if read.epoch >= reply.epoch
+                                            && read.rows == [y.to_string()] => {}
+                                    other => invisible.push(format!(
+                                        "e({x}, {y}) acked at epoch {}, then read {other:?}",
+                                        reply.epoch
+                                    )),
+                                }
+                            }
                             Err(ClientError::Server { .. }) => structured += 1,
                             Err(_) => unstructured += 1,
                         }
                     }
-                    (acked, structured, unstructured)
+                    (acked, structured, unstructured, invisible)
                 })
             })
             .collect();
         let mut acked: Vec<(i64, i64)> = Vec::new();
         for worker in worker_threads {
-            let (worker_acked, _structured, unstructured) = worker.join().expect("writer thread");
+            let (worker_acked, _structured, unstructured, invisible) =
+                worker.join().expect("writer thread");
             // No connection was killed in this scenario, so socket-level
             // failures would mean the server wedged or died: forbidden.
             prop_assert_eq!(unstructured, 0, "only OK or structured ERR is allowed");
+            prop_assert!(invisible.is_empty(), "acked writes not visible: {:?}", invisible);
             acked.extend(worker_acked);
         }
 
@@ -277,6 +294,45 @@ proptest! {
         assert_reopened_converges(&mut reopened, &parse_query("t(1000, Y)").unwrap())?;
         drop(reopened);
         std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// An ack is a visibility promise: a write answered `OK … epoch=E` must be in
+/// every read at epoch >= E, even when the first view refresh after its commit
+/// fails. A one-edge TC session with a `RoundMerge` error fault armed to fire
+/// inside the refresh that follows `TXN +e(1, 2)` either gets `OK` and then
+/// reads the new rows at epoch >= E, or gets a structured `ERR` — never an `OK`
+/// whose write reads as absent.
+#[test]
+fn acked_writes_are_visible_after_a_failed_view_refresh() {
+    for countdown in 2..=4u32 {
+        let mut engine = Engine::with_options(eval_opts(session_threads()));
+        engine
+            .load_source("t(X, Y) :- e(X, Y).\nt(X, Y) :- e(X, W), t(W, Y).\ne(0, 1).")
+            .expect("program loads");
+        engine.set_fault_injector(Some(FaultInjector::armed(
+            FaultSite::RoundMerge,
+            FaultAction::Error,
+            countdown,
+        )));
+        let handle = serve(engine, "127.0.0.1:0", server_opts()).expect("serve");
+        let mut client = Client::connect(handle.addr()).expect("client connects");
+        match client.txn("+e(1, 2)") {
+            Ok(ack) => {
+                let read = client.query("t(0, Y)").expect("query");
+                assert!(
+                    read.epoch >= ack.epoch,
+                    "countdown {countdown}: acked at epoch {}, read at epoch {}",
+                    ack.epoch,
+                    read.epoch
+                );
+                assert_eq!(read.rows, ["1", "2"], "countdown {countdown}");
+                assert!(client.epoch().expect("epoch") >= ack.epoch);
+            }
+            Err(ClientError::Server { .. }) => {}
+            Err(other) => panic!("countdown {countdown}: unstructured failure {other}"),
+        }
+        drop(handle.shutdown());
     }
 }
 
