@@ -7,16 +7,16 @@
 //!
 //! | Module | Paper section |
 //! |--------|---------------|
-//! | [`adorn`] | adornment, §2.1/§4.1 |
-//! | [`magic`] | the Magic Sets transformation, §2.1 (Fig. 1) |
+//! | [`adorn`](mod@adorn) | adornment, §2.1/§4.1 |
+//! | [`magic`](mod@magic) | the Magic Sets transformation, §2.1 (Fig. 1) |
 //! | [`standard_form`] | standard form, §4.1 |
-//! | [`classify`] | exit/left-linear/right-linear/combined rules, Defs 4.1–4.4 |
+//! | [`classify`](mod@classify) | exit/left-linear/right-linear/combined rules, Defs 4.1–4.4 |
 //! | [`conjunctions`] | the `bound`/`free`/… conjunctive queries, Def 4.5 |
 //! | [`conditions`] | selection-pushing / symmetric / answer-propagating, Defs 4.6–4.8, Thms 4.1–4.3 |
 //! | [`factor`] | the factoring transformation, §3 / Prop 3.1 (Fig. 2) |
-//! | [`optimize`] | the §5 simplifications, Props 5.1–5.5 + uniform equivalence |
-//! | [`reduce`] | static-argument reduction, Defs 5.1–5.3, Lemmas 5.1–5.2 |
-//! | [`counting`] | the Counting transformation, §6.4, Thm 6.4 |
+//! | [`optimize`](mod@optimize) | the §5 simplifications, Props 5.1–5.5 + uniform equivalence |
+//! | [`reduce`](mod@reduce) | static-argument reduction, Defs 5.1–5.3, Lemmas 5.1–5.2 |
+//! | [`counting`](mod@counting) | the Counting transformation, §6.4, Thm 6.4 |
 //! | [`one_sided`] | one-sided recursions, §6.1, Thms 6.1–6.2 |
 //! | [`separable`] | separable recursions, §6.2, Thm 6.3 |
 //! | [`pipeline`] | the end-to-end optimizer |

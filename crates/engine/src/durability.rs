@@ -344,7 +344,7 @@ impl Engine {
     /// Open (or create) a durable session in `dir` with default durability and
     /// evaluation options: loads the newest valid snapshot, truncates the log's
     /// torn tail, replays the remaining records, and logs every subsequent
-    /// committed mutation. See the [module docs](self) for the crash guarantees.
+    /// committed mutation. See the [crate docs](crate) for the crash guarantees.
     ///
     /// The directory has exactly one live writer, enforced by a `LOCK` file
     /// holding the opener's PID: a second open of the same directory — from

@@ -641,7 +641,7 @@ impl Engine {
     pub fn metrics_json_with(
         &self,
         replication: Option<&crate::replication::ReplicaStatus>,
-        server: Option<&crate::server::ServerMetrics>,
+        server: Option<&crate::server::StatsReply>,
     ) -> String {
         let default_metrics = crate::metrics::EngineMetrics::default();
         let metrics = self.metrics.as_deref().unwrap_or(&default_metrics);

@@ -83,7 +83,6 @@
 mod durability;
 mod engine;
 pub mod metrics;
-mod reactor;
 mod repl;
 pub mod replication;
 pub mod server;
@@ -104,8 +103,8 @@ pub use replication::{
     SyncReport, TERM_FILE,
 };
 pub use server::{
-    serve, Client, ClientError, Prepared, QueryReply, ServeError, ServerHandle, ServerMetrics,
-    ServerOptions, ShutdownReport, StatsReply, TxnReply,
+    serve, Client, ClientError, Prepared, QueryReply, ServeError, ServerHandle, ServerOptions,
+    ShutdownReport, StatsReply, TxnReply,
 };
 
 pub use factorlog_datalog::eval::{EvalError, EvalOptions, EvalStats, LimitReason};

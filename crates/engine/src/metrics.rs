@@ -2,7 +2,7 @@
 //! machine-readable JSON document behind `factorlog repl --metrics-json`.
 //!
 //! The eval-side profile ([`EvalProfile`]) rides on
-//! [`EvalStats`](factorlog_datalog::eval::EvalStats) and accumulates across a
+//! [`EvalStats`] and accumulates across a
 //! session's evaluations; [`EngineMetrics`] holds everything *above* the
 //! evaluators — end-to-end query latency, prepared-plan lookup time, optimizer
 //! pass times, WAL append/fsync latency, snapshot compaction time. Both are
@@ -138,10 +138,11 @@ fn histogram_json(h: &Histogram) -> String {
 
 /// Render the versioned metrics JSON document for one session. `tracing` says
 /// whether collection is currently enabled; `threads` is the session's
-/// configured worker-thread setting ([`EvalOptions::threads`]
-/// (factorlog_datalog::eval::EvalOptions), 0 = one per core). The eval-side
-/// phase spans and per-rule profiles come from `stats.profile` (rule text is
-/// looked up in `program` by rule index); everything else from `metrics`.
+/// configured worker-thread setting
+/// ([`EvalOptions::threads`](factorlog_datalog::eval::EvalOptions::threads),
+/// 0 = one per core). The eval-side phase spans and per-rule profiles come from
+/// `stats.profile` (rule text is looked up in `program` by rule index);
+/// everything else from `metrics`.
 /// `replication` is a replica's point-in-time status (`None` renders the
 /// `replication` key as `null` — the session is not replicating). `server` is
 /// a serving front end's reactor counters (`None` renders the `server` key as
@@ -153,7 +154,7 @@ pub fn render_metrics_json(
     tracing: bool,
     threads: usize,
     replication: Option<&crate::replication::ReplicaStatus>,
-    server: Option<&crate::server::ServerMetrics>,
+    server: Option<&crate::server::StatsReply>,
 ) -> String {
     let cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
@@ -409,13 +410,14 @@ mod tests {
 
     #[test]
     fn render_includes_a_server_object_for_serving_sessions() {
-        let server = crate::server::ServerMetrics {
+        let server = crate::server::StatsReply {
             reactor_wakeups: 17,
             pipelined_batches: 4,
             pipelined_requests: 12,
             max_batch_depth: 5,
             prepared_execs: 3,
             reply_cache_hits: 2,
+            ..Default::default()
         };
         let text = render_metrics_json(
             &EngineMetrics::default(),

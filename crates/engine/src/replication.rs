@@ -46,18 +46,28 @@
 //!   leader, which demotes it cleanly (its committed history is a prefix of
 //!   the new leader's, so catch-up is ordinary frame shipping).
 
+use std::collections::HashMap;
 use std::net::ToSocketAddrs;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use factorlog_datalog::ast::Const;
 
 use crate::durability::{parse_wal_seq, DurabilityOptions, SNAPSHOT_FILE, WAL_FILE};
 use crate::engine::{Engine, EngineError};
-use crate::server::{
-    serve_inner, Client, ClientError, FollowerConfig, ServeError, ServerHandle, ServerOptions,
-};
+use crate::server::codec::{render_err, Promoted, Reply, Request};
+use crate::server::{serve_inner, Client, ClientError, ServeError, ServerHandle, ServerOptions};
 use crate::wal::{self, WalRecord};
+
+/// Most WAL frames the leader ships per `REPL SUBSCRIBE` poll (bounds both the
+/// reply size and how long one poll holds the reactor).
+const REPL_BATCH_FRAMES: usize = 512;
+
+/// Followers absent from `REPL SUBSCRIBE` for this long drop out of the
+/// leader's lag accounting (they are likely gone, not lagging).
+const FOLLOWER_PRUNE: Duration = Duration::from_secs(60);
 
 /// File name (inside a data directory) persisting the node's replication term:
 /// a monotonically increasing integer bumped by every promotion, the fencing
@@ -89,16 +99,6 @@ impl ReplicaRole {
         }
     }
 
-    /// Parse a protocol role name (the inverse of [`ReplicaRole::as_str`]).
-    pub fn parse(s: &str) -> Option<ReplicaRole> {
-        match s {
-            "leader" => Some(ReplicaRole::Leader),
-            "follower" => Some(ReplicaRole::Follower),
-            "fenced" => Some(ReplicaRole::Fenced),
-            _ => None,
-        }
-    }
-
     pub(crate) fn as_u8(self) -> u8 {
         match self {
             ReplicaRole::Leader => 0,
@@ -119,6 +119,20 @@ impl ReplicaRole {
 impl std::fmt::Display for ReplicaRole {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.as_str())
+    }
+}
+
+/// Parse a protocol role name (the inverse of [`ReplicaRole::as_str`]).
+impl std::str::FromStr for ReplicaRole {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<ReplicaRole, String> {
+        match s {
+            "leader" => Ok(ReplicaRole::Leader),
+            "follower" => Ok(ReplicaRole::Follower),
+            "fenced" => Ok(ReplicaRole::Fenced),
+            _ => Err(format!("unknown replication role `{s}`")),
+        }
     }
 }
 
@@ -202,37 +216,17 @@ pub(crate) fn from_hex(text: &str) -> Result<Vec<u8>, String> {
     Ok(out)
 }
 
-/// What the leader ships for one `REPL SUBSCRIBE` poll.
-pub(crate) enum StreamStep {
-    /// The log can no longer supply `from_seq` contiguously (compaction reset
-    /// it): ship the whole snapshot; the follower bootstraps and resumes from
-    /// `seq + 1`.
-    Snapshot {
-        /// The snapshot text (carries its `% wal-seq` stamp).
-        text: String,
-        /// The sequence number the snapshot includes.
-        seq: u64,
-        /// The leader's overall committed position.
-        last_seq: u64,
-    },
-    /// Zero or more contiguous frames starting at `from_seq` (empty = the
-    /// follower is caught up).
-    Frames {
-        /// The frames, in log order.
-        frames: Vec<WalRecord>,
-        /// The leader's overall committed position.
-        last_seq: u64,
-    },
-}
-
 /// Compute the leader-side answer to one subscription poll, straight from the
 /// data directory: the on-disk log is the committed truth (commits fsync
 /// before acknowledging), so no coupling to the writer thread is needed.
+/// Ships a contiguous run of frames from `from_seq` (none when caught up, or
+/// transiently mid-compaction), or the snapshot when compaction reset the log
+/// past `from_seq`. The reply's `term` is left for the caller to stamp.
 pub(crate) fn stream_step(
     dir: &Path,
     from_seq: u64,
     max_frames: usize,
-) -> Result<StreamStep, EngineError> {
+) -> Result<SubscribeReply, EngineError> {
     let snapshot = match std::fs::read_to_string(dir.join(SNAPSHOT_FILE)) {
         Ok(text) => Some(text),
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
@@ -241,37 +235,30 @@ pub(crate) fn stream_step(
     let snap_seq = snapshot.as_deref().map(parse_wal_seq).unwrap_or(0);
     let read = wal::read_frames_from(&dir.join(WAL_FILE), from_seq, max_frames)?;
     let last_seq = read.last_seq.unwrap_or(0).max(snap_seq);
-    match read.first_seq {
+    let reply = |snapshot, frames| SubscribeReply {
+        snapshot,
+        frames,
+        last_seq,
+        term: 0,
+    };
+    Ok(match read.first_seq {
         // The log supplies `from_seq` contiguously: ship frames.
-        Some(first) if first == from_seq => Ok(StreamStep::Frames {
-            frames: read.frames,
-            last_seq,
-        }),
+        Some(first) if first == from_seq => reply(None, read.frames),
         // Caught up (or ahead — a stale node polling a behind one): nothing to ship.
-        None if from_seq > last_seq => Ok(StreamStep::Frames {
-            frames: Vec::new(),
-            last_seq,
-        }),
+        None if from_seq > last_seq => reply(None, Vec::new()),
         // The log starts after `from_seq` (a compaction raced the follower):
         // bootstrap from the snapshot when it covers the gap.
         _ => match snapshot {
-            Some(text) if snap_seq + 1 >= from_seq => Ok(StreamStep::Snapshot {
-                text,
-                seq: snap_seq,
-                last_seq,
-            }),
+            Some(text) if snap_seq + 1 >= from_seq => reply(Some(text), Vec::new()),
             // No snapshot that reaches back far enough — a transient state
             // (e.g. mid-compaction): ship nothing, the follower retries.
-            _ => Ok(StreamStep::Frames {
-                frames: Vec::new(),
-                last_seq,
-            }),
+            _ => reply(None, Vec::new()),
         },
-    }
+    })
 }
 
 /// The parsed reply of one `REPL SUBSCRIBE` poll (see [`Client::subscribe`]).
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct SubscribeReply {
     /// A full snapshot to bootstrap from (the leader compacted past the
     /// requested position); `None` on ordinary frame polls.
@@ -297,33 +284,7 @@ impl Client {
         term: u64,
         id: u64,
     ) -> Result<SubscribeReply, ClientError> {
-        self.send_line(&format!("REPL SUBSCRIBE {from_seq} term={term} id={id}"))?;
-        let mut snapshot = None;
-        let mut frames = Vec::new();
-        loop {
-            let line = self.read_reply_line()?;
-            if let Some(hex) = line.strip_prefix("SNAP ") {
-                let bytes = from_hex(hex).map_err(ClientError::Protocol)?;
-                snapshot = Some(String::from_utf8(bytes).map_err(|_| {
-                    ClientError::Protocol("shipped snapshot is not utf-8".to_string())
-                })?);
-                continue;
-            }
-            if let Some(hex) = line.strip_prefix("FRAME ") {
-                let bytes = from_hex(hex).map_err(ClientError::Protocol)?;
-                let record = WalRecord::decode(&bytes)
-                    .map_err(|e| ClientError::Protocol(format!("bad shipped frame: {e}")))?;
-                frames.push(record);
-                continue;
-            }
-            let fields = Client::expect_ok(&line)?;
-            return Ok(SubscribeReply {
-                snapshot,
-                frames,
-                last_seq: Client::parse_field(fields, "last_seq")?,
-                term: Client::parse_field(fields, "term")?,
-            });
-        }
+        self.call(Request::Subscribe { from_seq, term, id })
     }
 
     /// Ask the server to promote itself to leader. Succeeds (idempotently)
@@ -331,15 +292,281 @@ impl Client {
     /// leader's lease is still valid, and with code `fenced` on a superseded
     /// ex-leader. Returns the server's role and term after the call.
     pub fn promote(&mut self) -> Result<(ReplicaRole, u64), ClientError> {
-        self.send_line("PROMOTE")?;
-        let line = self.read_reply_line()?;
-        let fields = Client::expect_ok(&line)?;
-        let role = fields
-            .split_whitespace()
-            .find_map(|f| f.strip_prefix("role="))
-            .and_then(ReplicaRole::parse)
-            .ok_or_else(|| ClientError::Protocol(format!("missing `role=` in `{fields}`")))?;
-        Ok((role, Client::parse_field(fields, "term")?))
+        self.call(Request::Promote)
+            .map(|Promoted { role, term }| (role, term))
+    }
+}
+
+/// Why [`RoleState::promote`] refused.
+pub(crate) enum PromoteError {
+    /// A superseded ex-leader; carries the newer term.
+    Fenced(u64),
+    /// The leader's lease is still valid for this many ms.
+    Lease(u64),
+    /// The bumped term could not be persisted; nothing changed.
+    Persist(EngineError),
+}
+
+/// A node's one promotion state: role, term, lease clock and leader position.
+/// A [`Replica`] and the server serving it hold the same `Arc`, so `PROMOTE`
+/// over the wire and [`Replica::promote`] run the same lease-gated,
+/// persist-then-flip [`RoleState::promote`], and neither side mirrors the
+/// other. A plain served leader holds one too (term from its `TERM` file).
+pub(crate) struct RoleState {
+    /// [`ReplicaRole`] as a `u8` (`as_u8`/`from_u8`).
+    role: AtomicU8,
+    term: AtomicU64,
+    /// The leader's committed position as of the last successful poll.
+    leader_seq: AtomicU64,
+    /// ms since `started` of the last successful leader contact — the lease
+    /// clock. 0 means "contacted at creation": a fresh follower must wait out
+    /// one full lease before it can promote.
+    last_contact_ms: AtomicU64,
+    started: Instant,
+    lease_timeout: Duration,
+    /// Where the term persists (`None`: a non-durable leader, nothing to fence).
+    data_dir: Option<PathBuf>,
+}
+
+impl RoleState {
+    /// A node in `role` whose term is the one persisted in `data_dir`.
+    pub(crate) fn new(
+        role: ReplicaRole,
+        data_dir: Option<PathBuf>,
+        lease_timeout: Duration,
+    ) -> RoleState {
+        RoleState {
+            role: AtomicU8::new(role.as_u8()),
+            term: AtomicU64::new(data_dir.as_deref().map(read_term).unwrap_or(0)),
+            leader_seq: AtomicU64::new(0),
+            last_contact_ms: AtomicU64::new(0),
+            started: Instant::now(),
+            lease_timeout,
+            data_dir,
+        }
+    }
+
+    pub(crate) fn role(&self) -> ReplicaRole {
+        ReplicaRole::from_u8(self.role.load(Ordering::Acquire))
+    }
+
+    pub(crate) fn term(&self) -> u64 {
+        self.term.load(Ordering::Acquire)
+    }
+
+    pub(crate) fn leader_seq(&self) -> u64 {
+        self.leader_seq.load(Ordering::Acquire)
+    }
+
+    /// A poll reached a live leader at `leader_seq`: renew the lease.
+    pub(crate) fn contacted(&self, leader_seq: u64) {
+        self.leader_seq.store(leader_seq, Ordering::Release);
+        self.last_contact_ms
+            .store(self.started.elapsed().as_millis() as u64, Ordering::Release);
+    }
+
+    /// Milliseconds since the last successful leader contact.
+    ///
+    /// The contact stamp is loaded FIRST: `started.elapsed()` taken after the
+    /// load is ≥ every stamp recorded before it, so the subtraction cannot
+    /// underflow. A contact landing after the load only makes the result an
+    /// overestimate bounded by the load-to-elapsed gap, which is the safe
+    /// direction for both the lease gate and the lag stat.
+    pub(crate) fn ms_since_contact(&self) -> u64 {
+        let contact = self.last_contact_ms.load(Ordering::Acquire);
+        (self.started.elapsed().as_millis() as u64).saturating_sub(contact)
+    }
+
+    /// Milliseconds left on the leader's lease (0 once it has expired).
+    fn lease_remaining_ms(&self) -> u64 {
+        (self.lease_timeout.as_millis() as u64).saturating_sub(self.ms_since_contact())
+    }
+
+    /// A peer proved a leader of `term` exists: adopt a newer term (persisted)
+    /// and, if this node was leading, fence it.
+    pub(crate) fn observe_term(&self, term: u64) -> Result<(), EngineError> {
+        if term <= self.term() {
+            return Ok(());
+        }
+        self.term.fetch_max(term, Ordering::AcqRel);
+        let _ = self.role.compare_exchange(
+            ReplicaRole::Leader.as_u8(),
+            ReplicaRole::Fenced.as_u8(),
+            Ordering::AcqRel,
+            Ordering::Acquire,
+        );
+        match &self.data_dir {
+            Some(dir) => persist_term(dir, term),
+            None => Ok(()),
+        }
+    }
+
+    /// Promote to leader: idempotent on a leader, refused on a fenced
+    /// ex-leader, and on a follower gated by the lease — only once the leader
+    /// has been out of contact for a full lease timeout does the term bump,
+    /// persisted BEFORE the role flips (a promotion that did not survive our
+    /// own crash could let the old leader fence us back). Returns the term.
+    pub(crate) fn promote(&self) -> Result<u64, PromoteError> {
+        match self.role() {
+            ReplicaRole::Leader => Ok(self.term()),
+            ReplicaRole::Fenced => Err(PromoteError::Fenced(self.term())),
+            ReplicaRole::Follower => {
+                let remaining = self.lease_remaining_ms();
+                if remaining > 0 {
+                    return Err(PromoteError::Lease(remaining));
+                }
+                let new_term = self.term() + 1;
+                if let Some(dir) = &self.data_dir {
+                    persist_term(dir, new_term).map_err(PromoteError::Persist)?;
+                }
+                self.term.store(new_term, Ordering::Release);
+                // A concurrent PROMOTE may win this race; both persisted the
+                // same term, so reporting the shared outcome is correct.
+                let _ = self.role.compare_exchange(
+                    ReplicaRole::Follower.as_u8(),
+                    ReplicaRole::Leader.as_u8(),
+                    Ordering::AcqRel,
+                    Ordering::Acquire,
+                );
+                Ok(self.term())
+            }
+        }
+    }
+}
+
+/// One follower's drain position, as observed from its `REPL SUBSCRIBE` polls
+/// (leader-side lag accounting for `STATS`).
+struct FollowerLag {
+    /// The last sequence number the follower holds (its poll asked for the
+    /// next one).
+    seq: u64,
+    last_poll: Instant,
+}
+
+/// The replication facet of a served node: its [`RoleState`] plus what only
+/// the server tracks. Present on every server — a plain
+/// [`serve`](crate::serve)d node is simply a leader (possibly of term 0, with
+/// no followers).
+pub(crate) struct ReplState {
+    pub(crate) state: Arc<RoleState>,
+    /// The log position the published view includes: the leader's writer
+    /// advances it after each group commit, a follower after each view it
+    /// publishes.
+    pub(crate) last_seq: AtomicU64,
+    /// Started as a follower: lag is measured against the leader.
+    follows: bool,
+    /// Leader only: per-follower drain positions from recent polls.
+    followers: Mutex<HashMap<u64, FollowerLag>>,
+}
+
+impl ReplState {
+    pub(crate) fn new(state: Arc<RoleState>, last_seq: u64, follows: bool) -> ReplState {
+        ReplState {
+            state,
+            last_seq: AtomicU64::new(last_seq),
+            follows,
+            followers: Mutex::new(HashMap::new()),
+        }
+    }
+
+    /// `(followers, lag_frames, lag_ms)` for `STATS`: a replica's published
+    /// view against its leader (`lag_ms` = ms since the last leader contact),
+    /// or a leader's worst lag over the followers polling it recently.
+    pub(crate) fn lag(&self) -> (u64, u64, u64) {
+        let last_seq = self.last_seq.load(Ordering::Acquire);
+        if self.follows {
+            let lag = self.state.leader_seq().saturating_sub(last_seq);
+            return (0, lag, self.state.ms_since_contact());
+        }
+        let mut followers = self.followers.lock().expect("follower map poisoned");
+        followers.retain(|_, lag| lag.last_poll.elapsed() < FOLLOWER_PRUNE);
+        let lag_frames = followers
+            .values()
+            .map(|f| last_seq.saturating_sub(f.seq))
+            .max()
+            .unwrap_or(0);
+        let lag_ms = followers
+            .values()
+            .map(|f| f.last_poll.elapsed().as_millis() as u64)
+            .max()
+            .unwrap_or(0);
+        (followers.len() as u64, lag_frames, lag_ms)
+    }
+}
+
+/// Answer `REPL SUBSCRIBE`: stream committed WAL frames (or a snapshot when
+/// compaction outran the subscriber) straight from the data directory, and
+/// fence ourselves when the poll proves a newer term.
+pub(crate) fn handle_subscribe(
+    repl: &ReplState,
+    from_seq: u64,
+    term: u64,
+    id: u64,
+    out: &mut Vec<u8>,
+) {
+    let state = &repl.state;
+    let Some(dir) = state.data_dir.as_deref() else {
+        return render_err(
+            out,
+            "repl",
+            "this server is not durable; nothing to replicate",
+        );
+    };
+    // Fencing: a subscriber carrying a newer term proves a newer leader was
+    // elected. A leader flips to fenced before answering; a follower simply
+    // adopts the term and keeps serving frames (chained replication stays
+    // valid: our log is a committed prefix).
+    let _ = state.observe_term(term);
+    if state.role() == ReplicaRole::Fenced {
+        return render_err(
+            out,
+            "fenced",
+            &format!("superseded by term {}", state.term()),
+        );
+    }
+    let reply = match stream_step(dir, from_seq, REPL_BATCH_FRAMES) {
+        Ok(reply) => reply,
+        Err(error) => return render_err(out, "repl", &error.to_string()),
+    };
+    // Record this follower's drain position for leader-side lag accounting.
+    if id != 0 {
+        let mut followers = repl.followers.lock().expect("follower map poisoned");
+        followers.retain(|_, lag| lag.last_poll.elapsed() < FOLLOWER_PRUNE);
+        followers.insert(
+            id,
+            FollowerLag {
+                seq: from_seq.saturating_sub(1),
+                last_poll: Instant::now(),
+            },
+        );
+    }
+    SubscribeReply {
+        term: state.term(),
+        ..reply
+    }
+    .render(out);
+}
+
+/// Answer `PROMOTE` through [`RoleState::promote`]; once the role flips, the
+/// follower's apply loop becomes the writer.
+pub(crate) fn handle_promote(repl: &ReplState, out: &mut Vec<u8>) {
+    match repl.state.promote() {
+        Ok(term) => Promoted {
+            role: ReplicaRole::Leader,
+            term,
+        }
+        .render(out),
+        Err(PromoteError::Fenced(term)) => render_err(
+            out,
+            "fenced",
+            &format!("superseded by term {term}; restart this node as a follower"),
+        ),
+        Err(PromoteError::Lease(ms)) => render_err(
+            out,
+            "lease",
+            &format!("leader lease still valid for {ms} more ms; refusing promotion"),
+        ),
+        Err(PromoteError::Persist(error)) => render_err(out, "repl", &error.to_string()),
     }
 }
 
@@ -389,12 +616,9 @@ pub struct Replica {
     options: ReplicationOptions,
     client: Option<Client>,
     id: u64,
-    term: u64,
-    role: ReplicaRole,
-    /// Instant of the last successful publisher contact — seeded at creation,
-    /// so a fresh replica must wait out one full lease before promoting.
-    last_contact: Instant,
-    leader_seq: u64,
+    /// Role, term, lease clock and leader position — shared with the server
+    /// when this replica is served.
+    state: Arc<RoleState>,
     frames_applied: u64,
     bootstraps: u64,
 }
@@ -421,7 +645,11 @@ impl Replica {
                 "a replica must be durable (open it with open_durable)".to_string(),
             ));
         };
-        let term = read_term(dir);
+        let state = RoleState::new(
+            ReplicaRole::Follower,
+            Some(dir.to_path_buf()),
+            options.lease_timeout,
+        );
         // A follower identity for the leader's per-follower lag map: unique
         // enough across processes and restarts (clock nanos xor pid).
         let id = std::time::SystemTime::now()
@@ -435,13 +663,15 @@ impl Replica {
             options,
             client: None,
             id,
-            term,
-            role: ReplicaRole::Follower,
-            last_contact: Instant::now(),
-            leader_seq: 0,
+            state: Arc::new(state),
             frames_applied: 0,
             bootstraps: 0,
         })
+    }
+
+    /// The promotion state, for a server to share.
+    pub(crate) fn role_state(&self) -> Arc<RoleState> {
+        self.state.clone()
     }
 
     /// One subscription poll: connect (or reuse the connection), fetch the
@@ -450,7 +680,8 @@ impl Replica {
     /// local durability failures (this replica's own log or snapshot) err.
     pub fn sync_once(&mut self) -> Result<SyncReport, EngineError> {
         let mut report = SyncReport::default();
-        if self.role != ReplicaRole::Follower {
+        if self.role() != ReplicaRole::Follower {
+            self.client = None;
             return Ok(report);
         }
         let mut client = match self.client.take() {
@@ -461,20 +692,13 @@ impl Replica {
             },
         };
         let from_seq = self.engine.wal_last_seq().unwrap_or(0) + 1;
-        match client.subscribe(from_seq, self.term, self.id) {
+        match client.subscribe(from_seq, self.term(), self.id) {
             Ok(reply) => {
                 report.contacted = true;
-                self.last_contact = Instant::now();
-                self.leader_seq = reply.last_seq;
-                if reply.term > self.term {
-                    // A failover happened upstream: adopt the new term so our
-                    // own polls carry it onward.
-                    self.term = reply.term;
-                    if let Some(dir) = self.engine.data_dir() {
-                        let dir = dir.to_path_buf();
-                        persist_term(&dir, self.term)?;
-                    }
-                }
+                self.state.contacted(reply.last_seq);
+                // A failover happened upstream: adopt the new term so our
+                // own polls carry it onward.
+                self.state.observe_term(reply.term)?;
                 if let Some(text) = reply.snapshot {
                     self.engine.bootstrap_from_snapshot_text(&text)?;
                     report.bootstrapped = true;
@@ -534,28 +758,28 @@ impl Replica {
 
     /// The leader's position as of the last successful poll.
     pub fn leader_seq(&self) -> u64 {
-        self.leader_seq
+        self.state.leader_seq()
     }
 
     /// Frames between the leader's last known position and ours.
     pub fn lag_frames(&self) -> u64 {
-        self.leader_seq.saturating_sub(self.applied_seq())
+        self.leader_seq().saturating_sub(self.applied_seq())
     }
 
     /// Has the leader's lease expired (no successful contact within the
     /// configured lease timeout)? Promotion requires this.
     pub fn lease_expired(&self) -> bool {
-        self.last_contact.elapsed() >= self.options.lease_timeout
+        self.state.lease_remaining_ms() == 0
     }
 
     /// Current role.
     pub fn role(&self) -> ReplicaRole {
-        self.role
+        self.state.role()
     }
 
     /// Current term.
     pub fn term(&self) -> u64 {
-        self.term
+        self.state.term()
     }
 
     /// The replication options this replica polls with.
@@ -568,43 +792,17 @@ impl Replica {
     /// and persists the term, and unlocks writes. Idempotent on an already
     /// promoted replica; refused on a fenced one.
     pub fn promote(&mut self) -> Result<u64, EngineError> {
-        match self.role {
-            ReplicaRole::Leader => Ok(self.term),
-            ReplicaRole::Fenced => Err(EngineError::Durability(format!(
-                "fenced: superseded by term {}; restart as a follower of the new leader",
-                self.term
-            ))),
-            ReplicaRole::Follower => {
-                if !self.lease_expired() {
-                    let remaining = self
-                        .options
-                        .lease_timeout
-                        .saturating_sub(self.last_contact.elapsed());
-                    return Err(EngineError::Durability(format!(
-                        "leader lease still valid for {} more ms; refusing promotion",
-                        remaining.as_millis()
-                    )));
-                }
-                let new_term = self.term + 1;
-                if let Some(dir) = self.engine.data_dir() {
-                    let dir = dir.to_path_buf();
-                    persist_term(&dir, new_term)?;
-                }
-                self.term = new_term;
-                self.role = ReplicaRole::Leader;
-                self.client = None;
-                Ok(new_term)
-            }
-        }
-    }
-
-    /// Adopt a promotion performed externally (the serving front end's
-    /// `PROMOTE` verb flips the shared role; the apply loop then syncs the
-    /// replica object before switching to write service).
-    pub(crate) fn adopt_promotion(&mut self, term: u64) {
-        self.role = ReplicaRole::Leader;
-        self.term = term.max(self.term);
+        let term = self.state.promote().map_err(|error| match error {
+            PromoteError::Fenced(term) => EngineError::Durability(format!(
+                "fenced: superseded by term {term}; restart as a follower of the new leader"
+            )),
+            PromoteError::Lease(ms) => EngineError::Durability(format!(
+                "leader lease still valid for {ms} more ms; refusing promotion"
+            )),
+            PromoteError::Persist(error) => error,
+        })?;
         self.client = None;
+        Ok(term)
     }
 
     /// Insert one ground fact — role-gated: only a promoted (leader) replica
@@ -622,7 +820,7 @@ impl Replica {
     }
 
     fn require_leader(&self) -> Result<(), EngineError> {
-        match self.role {
+        match self.role() {
             ReplicaRole::Leader => Ok(()),
             ReplicaRole::Follower => Err(EngineError::Durability(
                 "replica is read-only (role follower): write to the leader or promote it"
@@ -630,7 +828,7 @@ impl Replica {
             )),
             ReplicaRole::Fenced => Err(EngineError::Durability(format!(
                 "fenced: superseded by term {}; this ex-leader refuses writes",
-                self.term
+                self.term()
             ))),
         }
     }
@@ -638,10 +836,10 @@ impl Replica {
     /// Snapshot of the replication state for `:stats` and metrics JSON.
     pub fn status(&self) -> ReplicaStatus {
         ReplicaStatus {
-            role: self.role,
-            term: self.term,
+            role: self.role(),
+            term: self.term(),
             applied_seq: self.applied_seq(),
-            leader_seq: self.leader_seq,
+            leader_seq: self.leader_seq(),
             lag_frames: self.lag_frames(),
             frames_applied: self.frames_applied,
             bootstraps: self.bootstraps,
@@ -680,15 +878,7 @@ pub fn serve_follower(
     options: ServerOptions,
     replication: ReplicationOptions,
 ) -> Result<ServerHandle, ServeError> {
-    serve_inner(
-        engine,
-        addr,
-        options,
-        Some(FollowerConfig {
-            leader: leader.into(),
-            replication,
-        }),
-    )
+    serve_inner(engine, addr, options, Some((leader.into(), replication)))
 }
 
 #[cfg(test)]
@@ -713,10 +903,10 @@ mod tests {
             ReplicaRole::Follower,
             ReplicaRole::Fenced,
         ] {
-            assert_eq!(ReplicaRole::parse(role.as_str()), Some(role));
+            assert_eq!(role.as_str().parse(), Ok(role));
             assert_eq!(ReplicaRole::from_u8(role.as_u8()), role);
         }
-        assert_eq!(ReplicaRole::parse("president"), None);
+        assert!("president".parse::<ReplicaRole>().is_err());
     }
 
     #[test]

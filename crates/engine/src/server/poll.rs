@@ -2,13 +2,13 @@
 //! a thin FFI shim over POSIX `poll(2)` plus a self-wake pipe, in the same
 //! dependency-free spirit as the CLI's `signal(2)` shim.
 //!
-//! The server's reactor ([`crate::server`]) drives every client connection
+//! The server's reactor (`server/reactor.rs`) drives every client connection
 //! from ONE thread: nonblocking sockets are polled for readiness, bytes are
 //! accumulated in per-connection buffers (so a request split across arbitrary
 //! packet — or time — boundaries is reassembled instead of truncated), and
 //! every complete request in a buffer is served before re-arming. The
 //! [`WakePipe`] lets other threads (the group-commit writer finishing a
-//! transaction, [`ServerHandle::shutdown`](crate::server::ServerHandle))
+//! transaction, [`ServerHandle::shutdown`](super::ServerHandle::shutdown))
 //! interrupt a blocked `poll` immediately instead of waiting out its timeout.
 //!
 //! Only the three readiness bits the reactor needs are exposed; everything is

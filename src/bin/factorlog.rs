@@ -32,8 +32,9 @@
 //!
 //! SERVE MODE:
 //!     a concurrent multi-session server on the same engine: any number of
-//!     connections speak the line protocol (QUERY/TXN/PING/EPOCH/STATS/QUIT),
-//!     readers answer lock-free from an atomically swapped materialized view,
+//!     connections speak the line protocol (QUERY/PREPARE/EXEC/TXN/EPOCH/
+//!     STATS/PING/REPL SUBSCRIBE/PROMOTE/QUIT), one reactor thread answers
+//!     reads lock-free from an atomically swapped materialized view,
 //!     and concurrently submitted transactions group-commit under one WAL
 //!     fsync. `--max-in-flight N` bounds admission (excess requests are shed
 //!     with a retryable `ERR overloaded`), `--deadline-ms N` sets the

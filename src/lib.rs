@@ -66,8 +66,8 @@ pub mod prelude {
         serve, serve_follower, CancelToken, Client, ClientError, CompactionFault,
         DurabilityOptions, Engine, EngineError, FaultAction, FaultInjector, FaultSite, LimitReason,
         Prepared, QueryReply, RecoveryReport, Repl, ReplAction, Replica, ReplicaRole,
-        ReplicaStatus, ReplicationOptions, ServeError, ServerHandle, ServerMetrics, ServerOptions,
-        ShutdownReport, Snapshot, StatsReply, SyncReport, Txn, TxnReply, TxnSummary,
+        ReplicaStatus, ReplicationOptions, ServeError, ServerHandle, ServerOptions, ShutdownReport,
+        Snapshot, StatsReply, SyncReport, Txn, TxnReply, TxnSummary,
     };
 }
 

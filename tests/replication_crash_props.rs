@@ -445,3 +445,101 @@ fn a_served_follower_promotes_over_the_wire_and_resumes_writes() {
     std::fs::remove_dir_all(&leader_dir).ok();
     std::fs::remove_dir_all(&follower_dir).ok();
 }
+
+/// A served follower whose view refresh fails must retry the publish on the
+/// next poll, not keep serving the stale view while `STATS` reports zero lag.
+/// The follower engine carries a `RoundMerge` fault that, for some countdown,
+/// fires inside the apply loop's refresh after the leader's one commit. A
+/// `Panic` fault fails that one refresh, so the retry must publish the
+/// replicated row. An `Error` fault is sticky (every later evaluation under
+/// the injector fails too), so the view cannot catch up — but `STATS` must
+/// say it is behind.
+#[test]
+fn a_served_follower_retries_a_failed_view_refresh() {
+    for action in [FaultAction::Panic, FaultAction::Error] {
+        let mut fired_in_loop = 0;
+        for countdown in 1..=4u32 {
+            let leader_dir = fresh_dir("refresh_lead");
+            let follower_dir = fresh_dir("refresh_follow");
+            let mut engine = Engine::open_durable_with_options(
+                &leader_dir,
+                dopts(u64::MAX),
+                eval_opts(session_threads()),
+            )
+            .expect("leader opens durably");
+            engine
+                .load_source(programs::THREE_RULE_TC)
+                .expect("program loads");
+            let leader = serve(engine, "127.0.0.1:0", server_opts()).expect("leader serves");
+
+            let mut engine = Engine::open_durable_with_options(
+                &follower_dir,
+                dopts(u64::MAX),
+                eval_opts(session_threads()),
+            )
+            .expect("follower opens durably");
+            let fault = FaultInjector::armed(FaultSite::RoundMerge, action, countdown);
+            engine.set_fault_injector(Some(fault.clone()));
+            // A fault that fires in serve_follower's own initial refresh fails
+            // the start: that countdown says nothing about the apply loop.
+            let Ok(follower) = serve_follower(
+                engine,
+                leader.addr().to_string(),
+                "127.0.0.1:0",
+                server_opts(),
+                ropts(512, Duration::from_secs(3600)),
+            ) else {
+                drop(leader.shutdown());
+                continue;
+            };
+            Client::connect(leader.addr())
+                .expect("writer connects")
+                .txn("+e(1, 2)")
+                .expect("txn commits");
+            // The leader goes quiet; the follower gets 2 s to show the row.
+            let mut client = Client::connect(follower.addr()).expect("client connects");
+            let deadline = std::time::Instant::now() + Duration::from_secs(2);
+            let sticky = |fault: &FaultInjector| action == FaultAction::Error && fault.fired();
+            let rows = loop {
+                // Once the fault has fired, the follower holds the leader's
+                // commit: until the view shows it, STATS must report the lag.
+                let fired = fault.fired();
+                let stats = client.stats().expect("stats");
+                let rows = client.query("t(1, Y)").expect("follower answers").rows;
+                if rows == ["2"] {
+                    break rows;
+                }
+                assert!(
+                    !fired || stats.repl_lag_frames > 0,
+                    "{action:?} countdown {countdown}: stale view at epoch {} reported with \
+                     zero lag",
+                    stats.epoch
+                );
+                if (fired && sticky(&fault)) || std::time::Instant::now() >= deadline {
+                    break rows;
+                }
+                std::thread::sleep(Duration::from_millis(5));
+            };
+            if fault.fired() {
+                fired_in_loop += 1;
+            }
+            if !sticky(&fault) {
+                assert_eq!(
+                    rows,
+                    ["2"],
+                    "{action:?} countdown {countdown}: the follower kept serving a stale view \
+                     (fault fired: {})",
+                    fault.fired()
+                );
+            }
+            drop(follower.shutdown());
+            drop(leader.shutdown());
+            std::fs::remove_dir_all(&leader_dir).ok();
+            std::fs::remove_dir_all(&follower_dir).ok();
+        }
+        assert!(
+            fired_in_loop >= 1,
+            "no {action:?} countdown fired inside the follower loop: the test exercised nothing"
+        );
+    }
+}

@@ -244,7 +244,11 @@ fn megabyte_of_pipelined_requests_is_backpressured_not_killed() {
     );
     for i in 0..PINGS {
         let reply = read_one_reply(&mut reader);
-        assert_eq!(reply, vec!["OK pong"], "ping {i} of {PINGS} lost or mangled");
+        assert_eq!(
+            reply,
+            vec!["OK pong"],
+            "ping {i} of {PINGS} lost or mangled"
+        );
     }
     handle.shutdown();
 }
