@@ -90,9 +90,10 @@ pub struct EvalOptions {
     /// evaluation entry point, checked at round boundaries. `None` = unlimited.
     pub max_derived_facts: Option<usize>,
     /// Budget on the evaluation's estimated memory footprint, checked at round
-    /// boundaries. The estimate piggybacks on relation/staging row counts
-    /// (`rows x arity x size_of::<Const>()`) and is documented accurate within
-    /// 2x — indexes and dedup tables are not counted. `None` = unlimited.
+    /// boundaries. The estimate is the relations' and staging relations'
+    /// [`Database::estimated_bytes`](crate::storage::Database::estimated_bytes):
+    /// flat stores, dedup tables and indexes, held within 2x of the allocated
+    /// bytes by `tests/relation_alloc.rs`. `None` = unlimited.
     pub memory_budget_bytes: Option<usize>,
     /// Shareable cooperative-cancellation token. When present, the evaluator
     /// polls it every [`POLL_INTERVAL`] candidate rows and at round boundaries,

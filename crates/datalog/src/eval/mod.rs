@@ -115,7 +115,7 @@ pub enum LimitReason {
     MemoryBudget {
         /// The configured budget in bytes.
         budget_bytes: usize,
-        /// The row-count-based estimate (documented within 2x) at the abort.
+        /// The heap estimate (within 2x of the allocated bytes) at the abort.
         estimated_bytes: usize,
     },
 }

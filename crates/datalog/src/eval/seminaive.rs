@@ -1140,21 +1140,11 @@ fn arm_runtimes(runtimes: &mut [RuleRuntime], governor: &Governor) {
     }
 }
 
-/// Row-count-based estimate of the evaluation's resident footprint, consulted by
-/// the memory guardrail: every database and staging/delta row costs
-/// `arity × size_of::<Const>()`. Indexes, dedup tables, and allocator slack are
-/// not counted, so the estimate is documented as accurate within about 2x — the
-/// guardrail trades precision for a count that needs no allocator instrumentation.
+/// Estimate of the evaluation's resident footprint, consulted by the memory
+/// guardrail: the heap held by every database and staging/delta relation — flat
+/// stores, dedup tables and indexes (see [`Database::estimated_bytes`]).
 fn estimated_bytes(db: &Database, extra: &FxHashMap<Symbol, Relation>) -> usize {
-    let cells: usize = db
-        .iter()
-        .map(|(_, rel)| rel.len() * rel.arity().max(1))
-        .sum::<usize>()
-        + extra
-            .values()
-            .map(|rel| rel.len() * rel.arity().max(1))
-            .sum::<usize>();
-    cells * std::mem::size_of::<Const>()
+    db.estimated_bytes() + extra.values().map(Relation::estimated_bytes).sum::<usize>()
 }
 
 /// Render a caught panic payload: the common `&str`/`String` payloads verbatim,

@@ -10,7 +10,7 @@ use crate::ast::{Atom, Const, Query};
 use crate::fx::FxHashMap;
 use crate::symbol::Symbol;
 
-use super::relation::Relation;
+use super::relation::{Relation, RowId};
 
 /// A collection of named relations.
 #[derive(Clone, Debug, Default)]
@@ -113,18 +113,27 @@ impl Database {
     /// in the bound positions), sorted for deterministic comparison. This is the
     /// paper's notion of the *answers* to a query over the computed least model.
     pub fn matching(&self, query: &Query) -> Vec<Vec<Const>> {
-        let Some(rel) = self.relation(query.atom.predicate) else {
+        let Some((rel, ids)) = self.select_query(query) else {
             return Vec::new();
         };
+        let mut out: Vec<Vec<Const>> = ids.into_iter().map(|id| rel.row(id).to_vec()).collect();
+        // Rows of a relation are distinct, so no dedup is needed.
+        out.sort_unstable();
+        out
+    }
+
+    /// The query predicate's relation and the ids of its rows whose bound positions
+    /// hold the query's constants; `None` if the predicate is absent or of another
+    /// arity.
+    fn select_query(&self, query: &Query) -> Option<(&Relation, Vec<RowId>)> {
+        let rel = self.relation(query.atom.predicate)?;
         if rel.arity() != query.atom.arity() {
-            return Vec::new();
+            return None;
         }
         let pattern: Vec<Option<Const>> = query.atom.terms.iter().map(|t| t.as_const()).collect();
         let mut ids = Vec::new();
         rel.select(&pattern, &mut ids);
-        let mut out: Vec<Vec<Const>> = ids.into_iter().map(|id| rel.row(id).to_vec()).collect();
-        out.sort();
-        out
+        Some((rel, ids))
     }
 
     /// The answers to a query projected onto its free (variable) positions, sorted.
@@ -147,15 +156,27 @@ impl Database {
                 }
             }
         }
-        let mut out: Vec<Vec<Const>> = self
-            .matching(query)
+        let Some((rel, ids)) = self.select_query(query) else {
+            return Vec::new();
+        };
+        let mut out: Vec<Vec<Const>> = ids
             .into_iter()
+            .map(|id| rel.row(id))
             .filter(|row| equal_to.iter().all(|&(a, b)| row[a] == row[b]))
             .map(|row| keep.iter().map(|&i| row[i]).collect())
             .collect();
-        out.sort();
+        out.sort_unstable();
         out.dedup();
         out
+    }
+
+    /// Estimated heap footprint of every relation, in bytes — the figure the
+    /// evaluator's memory budget is checked against. Per relation it counts the
+    /// allocated capacity of the flat store and support counts, plus one entry and
+    /// one control byte per slot of the dedup table and of each index table;
+    /// spilled multi-row buckets and allocator slack are left out.
+    pub fn estimated_bytes(&self) -> usize {
+        self.relations.values().map(Relation::estimated_bytes).sum()
     }
 
     /// Merge all tuples from `other` into `self`.
@@ -258,6 +279,45 @@ mod tests {
         db.add_fact("t", &[c(1), c(2)]);
         let q = Query::new(Atom::new("t", vec![Term::var("X"), Term::var("X")]));
         assert_eq!(db.answers(&q), vec![vec![c(1)]]);
+    }
+
+    #[test]
+    fn answers_project_sorted_from_an_indexed_relation() {
+        let mut db = Database::new();
+        for (x, y, z) in [
+            (3, 5, 3),
+            (1, 5, 1),
+            (1, 5, 2),
+            (2, 6, 2),
+            (2, 5, 2),
+            (4, 5, 1),
+        ] {
+            db.add_fact("t", &[c(x), c(y), c(z)]);
+        }
+        db.relation_mut("t".into()).unwrap().ensure_index(&[1]);
+        // Bound middle position, repeated X: rows (1,5,1), (2,5,2), (3,5,3) answer,
+        // projected onto X and sorted.
+        let q = Query::new(Atom::new(
+            "t",
+            vec![Term::var("X"), Term::int(5), Term::var("X")],
+        ));
+        assert_eq!(db.answers(&q), vec![vec![c(1)], vec![c(2)], vec![c(3)]]);
+        let free = Query::new(Atom::new(
+            "t",
+            vec![Term::var("X"), Term::int(5), Term::var("Z")],
+        ));
+        assert_eq!(
+            db.answers(&free),
+            vec![
+                vec![c(1), c(1)],
+                vec![c(1), c(2)],
+                vec![c(2), c(2)],
+                vec![c(3), c(3)],
+                vec![c(4), c(1)],
+            ]
+        );
+        assert_eq!(db.matching(&free).len(), 5);
+        assert!(db.matching(&free).windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]

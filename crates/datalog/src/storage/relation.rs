@@ -5,7 +5,10 @@
 //! by tuple hash provides O(1) duplicate detection (verified against the flat store, so
 //! hash collisions are handled correctly). Secondary indexes use the same trick: they
 //! map the *hash* of a column-subset key to the row ids whose key columns produce that
-//! hash, so neither insertion nor probing ever materializes a boxed key tuple. Callers
+//! hash, so neither insertion nor probing ever materializes a boxed key tuple. A bucket
+//! holds its first row id inline and spills to a heap `Vec` only when a second row
+//! shares the hash, so a relation performs no per-row heap allocation on insertion,
+//! cloning, index builds or compaction unless keys repeat. Callers
 //! that need exact row sets verify candidates against the flat store ([`Relation::probe`]
 //! does this; the join pipeline folds the verification into its binding loop, which
 //! compares every row against the pattern anyway). Indexes are built on first use and
@@ -17,6 +20,7 @@
 
 use crate::ast::Const;
 use crate::fx::{fx_hash_one, FxHashMap, FxHasher};
+use std::collections::hash_map::Entry;
 use std::hash::Hasher as _;
 
 /// A row identifier within one [`Relation`].
@@ -36,7 +40,7 @@ pub struct Relation {
     arity: usize,
     flat: Vec<Const>,
     /// tuple-hash → row ids with that hash (usually exactly one).
-    dedup: FxHashMap<u64, Vec<RowId>>,
+    dedup: Buckets,
     /// Secondary indexes, keyed by the (sorted) column subset they cover.
     indexes: Vec<ColumnIndex>,
     /// Per-row support counts, when counting is enabled (see
@@ -48,7 +52,52 @@ pub struct Relation {
 struct ColumnIndex {
     columns: Vec<usize>,
     /// key-hash → candidate row ids (collisions possible; callers verify).
-    map: FxHashMap<u64, Vec<RowId>>,
+    map: Buckets,
+}
+
+/// A hash-bucket table: hash → the row ids whose tuple (or index key) has that hash.
+type Buckets = FxHashMap<u64, RowIds>;
+
+/// The row ids of one hash bucket, in insertion order. The first row is held inline;
+/// the bucket spills to a `Vec` only when a second row shares the hash (a repeated
+/// index key, or a genuine hash collision in the dedup table). The enum is as large
+/// as a `Vec<RowId>`, so holding a row inline costs no extra table space.
+#[derive(Clone, Debug, PartialEq, Eq)]
+enum RowIds {
+    One(RowId),
+    Many(Vec<RowId>),
+}
+
+impl RowIds {
+    /// Append a row id (the spill from inline to heap happens here).
+    #[inline]
+    fn push(&mut self, id: RowId) {
+        match self {
+            RowIds::One(first) => *self = RowIds::Many(vec![*first, id]),
+            RowIds::Many(ids) => ids.push(id),
+        }
+    }
+
+    /// The row ids, in push order.
+    #[inline]
+    fn as_slice(&self) -> &[RowId] {
+        match self {
+            RowIds::One(id) => std::slice::from_ref(id),
+            RowIds::Many(ids) => ids,
+        }
+    }
+}
+
+/// Record row `id` under `hash` — the one bucket write behind the dedup table and
+/// every index (insertion, compaction and index builds alike).
+#[inline]
+fn push_row(buckets: &mut Buckets, hash: u64, id: RowId) {
+    match buckets.entry(hash) {
+        Entry::Occupied(mut bucket) => bucket.get_mut().push(id),
+        Entry::Vacant(slot) => {
+            slot.insert(RowIds::One(id));
+        }
+    }
 }
 
 /// THE index-key hashing scheme: element-wise over the key constants, in index column
@@ -188,14 +237,20 @@ impl Relation {
         delta
     }
 
+    /// The row id of `tuple` (whose tuple hash is `hash`), if present: its dedup
+    /// bucket, verified against the flat store.
+    fn find(&self, hash: u64, tuple: &[Const]) -> Option<RowId> {
+        let rows = self.dedup.get(&hash)?;
+        rows.as_slice()
+            .iter()
+            .copied()
+            .find(|&r| self.row(r) == tuple)
+    }
+
     /// Does the relation contain `tuple`?
     pub fn contains(&self, tuple: &[Const]) -> bool {
         debug_assert_eq!(tuple.len(), self.arity);
-        let hash = fx_hash_one(&tuple);
-        match self.dedup.get(&hash) {
-            None => false,
-            Some(rows) => rows.iter().any(|&r| self.row(r) == tuple),
-        }
+        self.find(fx_hash_one(&tuple), tuple).is_some()
     }
 
     /// Insert a tuple; returns `true` if it was new.
@@ -208,17 +263,14 @@ impl Relation {
             self.arity
         );
         let hash = fx_hash_one(&tuple);
-        if let Some(rows) = self.dedup.get(&hash) {
-            if rows.iter().any(|&r| self.row(r) == tuple) {
-                return false;
-            }
+        if self.find(hash, tuple).is_some() {
+            return false;
         }
         let id = self.len() as RowId;
         self.flat.extend_from_slice(tuple);
-        self.dedup.entry(hash).or_default().push(id);
+        push_row(&mut self.dedup, hash, id);
         for index in &mut self.indexes {
-            let key_hash = hash_columns(tuple, &index.columns);
-            index.map.entry(key_hash).or_default().push(id);
+            push_row(&mut index.map, hash_columns(tuple, &index.columns), id);
         }
         if let Some(counts) = &mut self.counts {
             counts.push(1);
@@ -248,14 +300,11 @@ impl Relation {
     /// of being dropped. Requires [`Relation::enable_counts`].
     pub fn insert_counted(&mut self, tuple: &[Const]) -> bool {
         debug_assert!(self.counting(), "insert_counted requires enabled counts");
-        let hash = fx_hash_one(&tuple);
-        if let Some(rows) = self.dedup.get(&hash) {
-            if let Some(&id) = rows.iter().find(|&&r| self.row(r) == tuple) {
-                if let Some(counts) = &mut self.counts {
-                    counts[id as usize] = counts[id as usize].saturating_add(1);
-                }
-                return false;
+        if let Some(id) = self.find(fx_hash_one(&tuple), tuple) {
+            if let Some(counts) = &mut self.counts {
+                counts[id as usize] = counts[id as usize].saturating_add(1);
             }
+            return false;
         }
         self.insert(tuple)
     }
@@ -263,13 +312,9 @@ impl Relation {
     /// The support count of `tuple`: 0 if absent, the recorded count when counting is
     /// enabled, and 1 for any present tuple of a non-counting relation.
     pub fn count_of(&self, tuple: &[Const]) -> u32 {
-        let hash = fx_hash_one(&tuple);
-        let Some(rows) = self.dedup.get(&hash) else {
-            return 0;
-        };
-        match rows.iter().find(|&&r| self.row(r) == tuple) {
+        match self.find(fx_hash_one(&tuple), tuple) {
             None => 0,
-            Some(&id) => match &self.counts {
+            Some(id) => match &self.counts {
                 Some(counts) => counts[id as usize],
                 None => 1,
             },
@@ -352,10 +397,9 @@ impl Relation {
             let row = &old_flat[old_id * arity..(old_id + 1) * arity];
             let id = self.len() as RowId;
             self.flat.extend_from_slice(row);
-            self.dedup.entry(fx_hash_one(&row)).or_default().push(id);
+            push_row(&mut self.dedup, fx_hash_one(&row), id);
             for index in &mut self.indexes {
-                let key_hash = hash_columns(row, &index.columns);
-                index.map.entry(key_hash).or_default().push(id);
+                push_row(&mut index.map, hash_columns(row, &index.columns), id);
             }
             if let (Some(counts), Some(old)) = (&mut self.counts, &old_counts) {
                 counts.push(old[old_id]);
@@ -408,13 +452,9 @@ impl Relation {
         if let Some(existing) = self.index_on(&cols) {
             return Some(existing);
         }
-        let mut map: FxHashMap<u64, Vec<RowId>> = FxHashMap::default();
+        let mut map = Buckets::default();
         for id in 0..self.len() as RowId {
-            let row = {
-                let start = id as usize * self.arity;
-                &self.flat[start..start + self.arity]
-            };
-            map.entry(hash_columns(row, &cols)).or_default().push(id);
+            push_row(&mut map, hash_columns(self.row(id), &cols), id);
         }
         self.indexes.push(ColumnIndex { columns: cols, map });
         Some(IndexId(self.indexes.len() as u32 - 1))
@@ -438,8 +478,7 @@ impl Relation {
         self.indexes[index.0 as usize]
             .map
             .get(&key_hash)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+            .map_or(&[], RowIds::as_slice)
     }
 
     /// The columns covered by `index` (sorted ascending).
@@ -480,18 +519,7 @@ impl Relation {
         if bound.len() == self.arity {
             // Fully bound: membership test.
             let tuple: Vec<Const> = pattern.iter().map(|p| p.unwrap()).collect();
-            if self.contains(&tuple) {
-                // Find its id (rare path, used by tests and provenance).
-                let hash = fx_hash_one(&tuple.as_slice());
-                if let Some(rows) = self.dedup.get(&hash) {
-                    for &r in rows {
-                        if self.row(r) == tuple.as_slice() {
-                            out.push(r);
-                            return;
-                        }
-                    }
-                }
-            }
+            out.extend(self.find(fx_hash_one(&tuple.as_slice()), &tuple));
             return;
         }
         if let Some(index) = self.index_on(&bound) {
@@ -511,6 +539,23 @@ impl Relation {
                 out.push(id);
             }
         }
+    }
+
+    /// Estimated heap footprint in bytes: the allocated capacity of the flat store and
+    /// the support counts, plus one `(hash, bucket)` entry and one control byte per
+    /// slot of the dedup table and of every index table. Spilled multi-row buckets and
+    /// allocator slack are not counted; `tests/relation_alloc.rs` checks the figure
+    /// against the bytes the allocator really hands out.
+    pub(crate) fn estimated_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let table = |buckets: &Buckets| buckets.capacity() * (size_of::<(u64, RowIds)>() + 1);
+        self.flat.capacity() * size_of::<Const>()
+            + self
+                .counts
+                .as_ref()
+                .map_or(0, |c| c.capacity() * size_of::<u32>())
+            + table(&self.dedup)
+            + self.indexes.iter().map(|i| table(&i.map)).sum::<usize>()
     }
 
     /// All tuples, cloned into owned vectors (test/diagnostic convenience).
@@ -827,6 +872,129 @@ mod tests {
     fn arity_mismatch_panics() {
         let mut r = Relation::new(2);
         r.insert(&[c(1)]);
+    }
+
+    #[test]
+    fn bucket_spills_on_second_push_and_keeps_push_order() {
+        assert_eq!(
+            std::mem::size_of::<RowIds>(),
+            std::mem::size_of::<Vec<RowId>>(),
+            "the inline bucket costs no more table space than the Vec it replaces"
+        );
+        let mut bucket = RowIds::One(7);
+        assert_eq!(bucket.as_slice(), &[7]);
+        bucket.push(3);
+        assert_eq!(bucket, RowIds::Many(vec![7, 3]));
+        bucket.push(9);
+        assert_eq!(bucket.as_slice(), &[7, 3, 9]);
+
+        let mut table = Buckets::default();
+        push_row(&mut table, 42, 5);
+        assert_eq!(table[&42], RowIds::One(5));
+        push_row(&mut table, 42, 1);
+        push_row(&mut table, 43, 2);
+        assert_eq!(table[&42].as_slice(), &[5, 1]);
+        assert_eq!(table[&43], RowIds::One(2));
+    }
+
+    /// Distinct arity-2 integer tuples that all share one tuple hash: `[firsts[0], 0]`
+    /// and `[f, v]` for each further `f`. The tuple hash ends with one FxHash round on
+    /// the last value, `h = (rotl(s, 5) ^ last) * K` with `K` odd, so `rotl(s, 5)` of a
+    /// prefix is recoverable from `h` and the last value can be chosen to hit any `h`.
+    fn colliding_tuples(firsts: &[i64]) -> Vec<[Const; 2]> {
+        let k = {
+            let mut h = FxHasher::default();
+            h.write_u64(1);
+            h.finish()
+        };
+        // Inverse of `k` mod 2^64 (Newton's iteration doubles the correct bits).
+        let mut k_inv = k;
+        for _ in 0..6 {
+            k_inv = k_inv.wrapping_mul(2u64.wrapping_sub(k.wrapping_mul(k_inv)));
+        }
+        assert_eq!(k.wrapping_mul(k_inv), 1);
+        let prefix = |first: i64| fx_hash_one(&[c(first), c(0)].as_slice()).wrapping_mul(k_inv);
+        let target = prefix(firsts[0]);
+        let tuples: Vec<[Const; 2]> = firsts
+            .iter()
+            .map(|&f| [c(f), c((target ^ prefix(f)) as i64)])
+            .collect();
+        let hash = fx_hash_one(&tuples[0].as_slice());
+        for t in &tuples {
+            assert_eq!(fx_hash_one(&t.as_slice()), hash, "{t:?} must collide");
+        }
+        tuples
+    }
+
+    #[test]
+    fn dedup_collisions_spill_and_stay_exact() {
+        let tuples = colliding_tuples(&[1, 2, 3]);
+        let hash = fx_hash_one(&tuples[0].as_slice());
+        let mut r = Relation::new(2);
+        r.ensure_index(&[0]);
+        r.enable_counts();
+        for t in &tuples {
+            assert!(r.insert(t), "a colliding tuple is still new");
+        }
+        assert_eq!(r.dedup.len(), 1, "all three rows share one dedup bucket");
+        assert_eq!(r.dedup[&hash].as_slice(), &[0, 1, 2]);
+        for t in &tuples {
+            assert!(r.contains(t));
+            assert!(
+                !r.insert(t),
+                "duplicates are caught inside a spilled bucket"
+            );
+        }
+        assert!(!r.insert_counted(&tuples[1]));
+        assert_eq!(r.count_of(&tuples[1]), 2);
+        assert_eq!(r.count_of(&tuples[2]), 1);
+        assert!(
+            !r.contains(&[c(1), c(1)]),
+            "same hash bucket, different row"
+        );
+        let mut out = Vec::new();
+        r.select(&[Some(tuples[2][0]), Some(tuples[2][1])], &mut out);
+        assert_eq!(out, vec![2]);
+
+        // Compaction rebuilds the spilled bucket in insertion order.
+        assert!(r.remove(&tuples[0]));
+        assert_eq!(r.dedup[&hash].as_slice(), &[0, 1]);
+        assert_eq!(r.count_of(&tuples[1]), 2, "counts follow their rows");
+        assert!(!r.contains(&tuples[0]));
+        assert!(r.insert(&tuples[0]));
+        assert_eq!(r.dedup[&hash].as_slice(), &[0, 1, 2]);
+
+        // A clone answers identically.
+        let copy = r.clone();
+        for t in &tuples {
+            assert!(copy.contains(t));
+        }
+        assert_eq!(copy.probe(&[0], &[c(2)]).unwrap(), vec![0]);
+    }
+
+    #[test]
+    fn compaction_keeps_index_buckets_in_insertion_order() {
+        let mut r = Relation::new(2);
+        let id = r.ensure_index(&[0]).unwrap();
+        for i in 0..12i64 {
+            r.insert(&[c(i % 3), c(i)]);
+        }
+        // Key 1 holds rows 1, 4, 7, 10; removing row 4 renumbers the survivors.
+        assert_eq!(r.probe_candidates(id, hash_key(&[c(1)])), &[1, 4, 7, 10]);
+        assert!(r.remove(&[c(1), c(4)]));
+        let candidates = r.probe_candidates(id, hash_key(&[c(1)]));
+        assert_eq!(candidates, &[1, 6, 9]);
+        let seconds: Vec<i64> = candidates
+            .iter()
+            .map(|&row| r.row(row)[1].as_int().unwrap())
+            .collect();
+        assert_eq!(seconds, vec![1, 7, 10]);
+        // A key left with one row is probed through the inline bucket.
+        for i in [2i64, 5, 8] {
+            assert!(r.remove(&[c(2), c(i)]));
+        }
+        assert_eq!(r.probe(&[0], &[c(2)]).unwrap().len(), 1);
+        assert_eq!(r.probe_candidates(id, hash_key(&[c(2)])).len(), 1);
     }
 
     #[test]

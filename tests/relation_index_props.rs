@@ -2,6 +2,10 @@
 //! indexed access paths of the compiled join pipeline must be *observationally
 //! identical* to the scan fallback, no matter how relations, patterns, and index sets
 //! are chosen, and no matter how `insert` / `ensure_index` / `clear` interleave.
+//! A model-based test also checks every mutation (counted inserts, batch removal,
+//! clones) against a `BTreeMap` of tuples and support counts.
+
+use std::collections::BTreeMap;
 
 use factorlog::datalog::ast::Const;
 use factorlog::datalog::storage::{hash_key, Relation, RowId};
@@ -147,5 +151,90 @@ proptest! {
             prop_assert!(!r.insert(&row), "existing row re-inserted as new");
         }
         prop_assert_eq!(r.len(), before);
+    }
+    /// Every mutation of the relation API, interleaved, against a `BTreeMap` model of
+    /// the tuple set and its support counts. Arity 3 over a 4-value domain, so index
+    /// keys repeat constantly and most index buckets hold several rows. After every
+    /// step the relation's `len`, `contains` and `count_of` agree with the model for
+    /// every tuple of the domain, and `select` through every built index agrees with
+    /// the model for every key.
+    #[test]
+    fn mutations_match_a_model(
+        ops in prop::collection::vec((0usize..16, 0i64..64), 1..50),
+    ) {
+        let mut r = Relation::new(3);
+        r.enable_counts();
+        let mut model: BTreeMap<[i64; 3], u32> = BTreeMap::new();
+        let mut built: Vec<Vec<usize>> = Vec::new();
+        for &(op, v) in &ops {
+            let t = [v / 16, v / 4 % 4, v % 4];
+            let tuple = t.map(c);
+            match op {
+                0 => {
+                    r.clear();
+                    model.clear();
+                }
+                1 => r = r.clone(),
+                2 | 3 => {
+                    let cols: Vec<usize> = (0..3).filter(|i| (v % 7 + 1) & (1 << i) != 0).collect();
+                    if r.ensure_index(&cols).is_some() && !built.contains(&cols) {
+                        built.push(cols);
+                    }
+                }
+                4 | 5 => {
+                    let mut doomed = Relation::new(3);
+                    let mut expected = 0;
+                    for d in [t, [t[2], t[1], t[0]], [t[0], t[0], t[0]]] {
+                        if doomed.insert(&d.map(c)) && model.remove(&d).is_some() {
+                            expected += 1;
+                        }
+                    }
+                    prop_assert_eq!(r.remove_all(&doomed), expected);
+                }
+                6..=10 => {
+                    let new = !model.contains_key(&t);
+                    model.entry(t).or_insert(1);
+                    prop_assert_eq!(r.insert(&tuple), new);
+                }
+                _ => {
+                    let new = !model.contains_key(&t);
+                    *model.entry(t).or_insert(0) += 1;
+                    prop_assert_eq!(r.insert_counted(&tuple), new);
+                }
+            }
+
+            prop_assert_eq!(r.len(), model.len());
+            for x in 0..64 {
+                let t = [x / 16, x / 4 % 4, x % 4];
+                let count = model.get(&t).copied().unwrap_or(0);
+                prop_assert_eq!(r.contains(&t.map(c)), count > 0);
+                prop_assert_eq!(r.count_of(&t.map(c)), count);
+            }
+            for cols in &built {
+                for x in 0..64 {
+                    let key = [x / 16, x / 4 % 4, x % 4];
+                    let pattern: Vec<Option<Const>> = (0..3)
+                        .map(|i| cols.contains(&i).then(|| c(key[i])))
+                        .collect();
+                    let mut ids = Vec::new();
+                    r.select(&pattern, &mut ids);
+                    prop_assert_eq!(&ids, &scan_select(&r, &pattern), "index on {:?}", cols);
+                    let mut selected: Vec<[i64; 3]> = ids
+                        .iter()
+                        .map(|&id| {
+                            let row = r.row(id);
+                            [0, 1, 2].map(|i| row[i].as_int().unwrap())
+                        })
+                        .collect();
+                    selected.sort_unstable();
+                    let expected: Vec<[i64; 3]> = model
+                        .keys()
+                        .filter(|m| cols.iter().all(|&i| m[i] == key[i]))
+                        .copied()
+                        .collect();
+                    prop_assert_eq!(selected, expected);
+                }
+            }
+        }
     }
 }
